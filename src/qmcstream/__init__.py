@@ -11,6 +11,7 @@ from .graph import (
     is_bipartite,
     max_incident_sum,
     parse_edge_list,
+    read_edge_list,
     serialize_edge_list,
     total_weight,
 )
@@ -25,6 +26,7 @@ from .oracles import (
 )
 from .estimator import (
     EstimatorBank,
+    QmcEstimateAlgorithm,
     ReservoirState,
     estimate_qmc,
     estimate_w,

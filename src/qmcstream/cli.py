@@ -12,20 +12,19 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .dihp import sample_instance, separation_experiment, serialize_instance
-from .estimator import EstimatorBank, qmc_value_from_w_hat
+from .estimator import QmcEstimateAlgorithm
 from .fourier_suite import verify_fourier_lemmas
 from .graph import (
-    DEFAULT_MAX_DENOMINATOR,
     GraphParseError,
     InfeasibleSizeError,
     WeightedEdge,
     WeightedGraph,
     max_incident_sum,
-    parse_edge_line,
     parse_edge_list,
+    read_edge_list,
     total_weight,
 )
 from .oracles import (
@@ -54,43 +53,17 @@ def _emit(obj: dict, out: TextIO) -> None:
     out.write("\n")
 
 
-class SinglePassReader:
-    """Forward-only line reader; cannot seek, complains on reuse."""
+def iter_stream_edges(lines: Iterable[str]) -> Iterator[WeightedEdge]:
+    """Edges of a streamed edge list, parsed as each line is read.
 
-    def __init__(self, handle: TextIO):
-        self._handle = handle
-        self._consumed = False
-
-    def lines(self) -> Iterator[tuple[int, str]]:
-        if self._consumed:
-            raise RuntimeError("stream already consumed; single pass only")
-        self._consumed = True
-        for lineno, raw in enumerate(self._handle, start=1):
-            yield lineno, raw
-
-
-def iter_stream_edges(reader: SinglePassReader) -> Iterator[WeightedEdge]:
-    """Incremental edge parsing for the streaming path.
-
-    Validates syntax, ranges, self-loops, and weights per line, but does not
-    keep a duplicate-pair set: the online path must stay at constant memory,
+    Each line is validated as the offline parser validates it, but no
+    duplicate-pair set is kept: the online path must stay at constant memory,
     so duplicate-freeness is the producer's contract (the offline parser
     enforces it).
     """
-    n: Optional[int] = None
-    for lineno, raw in reader.lines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise GraphParseError(f"line {lineno}: expected header 'n <count>'")
-            n = int(parts[1])
-            continue
-        yield parse_edge_line(parts, lineno, n, DEFAULT_MAX_DENOMINATOR)
-    if n is None:
-        raise GraphParseError("line 1: missing header 'n <count>'")
+    _, edges = read_edge_list(lines)
+    for _, edge in edges:
+        yield edge
 
 
 def _open_input(path: str) -> TextIO:
@@ -115,33 +88,28 @@ def _read_graph(path: str) -> WeightedGraph:
 def cmd_estimate(args, out: TextIO) -> int:
     handle = _open_input(args.input)
     try:
-        bank = EstimatorBank(args.eps / 4.0, args.delta, args.seed)
-        for e in iter_stream_edges(SinglePassReader(handle)):
-            bank.process_edge(e)
+        estimator = QmcEstimateAlgorithm(args.eps, args.delta, args.seed)
+        for e in iter_stream_edges(handle):
+            estimator.update(e)
     finally:
         if handle is not sys.stdin:
             handle.close()
-    m = float(bank.m_exact)
-    w_hat = bank.w_estimate()
-    mode = "unweighted" if bank.unit_weights else "weighted"
-    if args.mode != "auto":
-        mode = args.mode
-    value = qmc_value_from_w_hat(m, w_hat, args.eps)
+    q = estimator.report()
     _emit(
         {
             "schema": 1,
             "command": "estimate",
             "seed": args.seed,
-            "value": value,
-            "m": m,
-            "m_exact": _frac_str(bank.m_exact),
-            "W_hat": w_hat,
-            "epsilon": args.eps,
-            "delta": args.delta,
-            "mode": mode,
-            "guaranteed_ratio": 2.0 + args.eps if mode == "unweighted" else 2.5 + args.eps,
-            "words_used": bank.words_used(),
-            "edges_seen": bank.edges_seen,
+            "value": q.value,
+            "m": q.m,
+            "m_exact": _frac_str(q.m_exact),
+            "W_hat": q.w_hat,
+            "epsilon": q.epsilon,
+            "delta": q.delta,
+            "mode": q.mode,
+            "guaranteed_ratio": q.guaranteed_ratio,
+            "words_used": q.words_used,
+            "edges_seen": q.edges_seen,
             "tolerances": TOLERANCES,
         },
         out,
@@ -317,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", default="-", help="edge list path, or - for stdin")
     p.add_argument("--eps", type=float, default=0.25)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--mode", choices=["auto", "unweighted", "weighted"], default="auto")
 
     p = add("wexact", cmd_wexact, help="exact m and W of a graph")
     p.add_argument("--input", default="-")

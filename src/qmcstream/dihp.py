@@ -15,7 +15,7 @@ from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from .estimator import EstimatorBank, qmc_value_from_w_hat
+from .estimator import QmcEstimateAlgorithm  # noqa: F401 (a protocol player)
 from .graph import EdgeStream, WeightedEdge, WeightedGraph, is_bipartite
 from .oracles import max_cut_bruteforce, qmc_exact
 from .relaxation import solve_vector_program
@@ -167,25 +167,6 @@ class StreamAlgorithm(Protocol):
     def update(self, e: WeightedEdge) -> None: ...
     def result(self) -> float: ...
     def word_count(self) -> int: ...
-
-
-class QmcEstimateAlgorithm:
-    """The one-pass estimator as a protocol participant."""
-
-    def __init__(self, epsilon: float, delta: float, seed: int = 0):
-        self.epsilon = epsilon
-        self._bank = EstimatorBank(epsilon / 4.0, delta, seed)
-
-    def update(self, e: WeightedEdge) -> None:
-        self._bank.process_edge(e)
-
-    def result(self) -> float:
-        return qmc_value_from_w_hat(
-            float(self._bank.m_exact), self._bank.w_estimate(), self.epsilon
-        )
-
-    def word_count(self) -> int:
-        return self._bank.words_used()
 
 
 class ExactOracleAlgorithm:

@@ -260,9 +260,13 @@ class EstimatorBank:
         return np.stack([lo, hi], axis=1)
 
     def words_used(self) -> int:
-        """Persistent storage in machine words; constant in stream length."""
-        self.flush()
-        return 6 * self.size + 8
+        """Persistent storage in machine words; constant in stream length.
+
+        Six words per reservoir, eight scalars, and the three-column chunk
+        buffer counted at its capacity, so the count is the same whether or
+        not edges are pending. A pure query: it flushes nothing.
+        """
+        return 6 * self.size + 8 + 3 * self.chunk_size
 
 
 def _chunk_incidence(eu, ev, ew, c):
@@ -337,41 +341,59 @@ class QmcEstimate:
     guaranteed_ratio: float  # 2 + eps or 5/2 + eps
     words_used: int
     m_exact: Fraction
+    edges_seen: int
 
 
-def qmc_value_from_w_hat(m: float, w_hat: float, epsilon: float) -> float:
-    """Point estimate m/2 + (W_hat + eps'm)/4 with eps' = eps/4, clamped.
+class QmcEstimateAlgorithm:
+    """The one-pass Quantum Max-Cut estimator.
 
-    The upward shift makes the estimate one-sided: whenever W_hat is within
-    eps'm of W the value is at least the true optimum, while staying under
-    (2 + eps) (unit weights) or (5/2 + eps) (weighted) times the optimum.
+    Keeps the exact total weight m and a bank estimating W within eps'm,
+    eps' = eps/4, and reports m/2 + (W_hat + eps'm)/4; W_hat is clamped to
+    [0, 2m], so the value lies in [m/2, m + eps'm/4]. The upward shift makes
+    the estimate one-sided: whenever W_hat is within eps'm of W the value is
+    at least the true optimum, while staying under 2 + eps (unit weights) or
+    5/2 + eps (weighted) times the optimum. The mode follows from the weights
+    seen. ``update``/``result``/``word_count`` let the protocol harness drive
+    it as a player's state.
     """
-    if m == 0:
-        return 0.0
-    eps_w = epsilon / 4.0
-    value = m / 2.0 + (w_hat + eps_w * m) / 4.0
-    return float(np.clip(value, m / 2.0, m + epsilon * m / 4.0))
+
+    def __init__(self, epsilon: float, delta: float, seed: int = 0):
+        if not (0 < epsilon < 1):
+            raise ValueError("epsilon must lie in (0, 1)")
+        self.epsilon = float(epsilon)
+        self.bank = EstimatorBank(epsilon / 4.0, delta, seed)
+
+    def update(self, e: WeightedEdge) -> None:
+        self.bank.process_edge(e)
+
+    def word_count(self) -> int:
+        return self.bank.words_used()
+
+    def result(self) -> float:
+        return self.report().value
+
+    def report(self) -> QmcEstimate:
+        bank = self.bank
+        m = float(bank.m_exact)
+        w_hat = bank.w_estimate()
+        mode = "unweighted" if bank.unit_weights else "weighted"
+        return QmcEstimate(
+            value=m / 2.0 + (w_hat + bank.epsilon * m) / 4.0,
+            m=m,
+            w_hat=w_hat,
+            epsilon=self.epsilon,
+            delta=bank.delta,
+            mode=mode,
+            guaranteed_ratio=(2.0 if mode == "unweighted" else 2.5) + self.epsilon,
+            words_used=bank.words_used(),
+            m_exact=bank.m_exact,
+            edges_seen=bank.edges_seen,
+        )
 
 
 def estimate_qmc(stream: EdgeSource, epsilon: float, delta: float, seed: int = 0) -> QmcEstimate:
     """Single-pass Quantum Max-Cut approximation from m and the W estimate."""
-    if not (0 < epsilon < 1):
-        raise ValueError("epsilon must lie in (0, 1)")
-    bank = EstimatorBank(epsilon / 4.0, delta, seed)
-    bank.process_stream(stream)
-    m = float(bank.m_exact)
-    w_hat = bank.w_estimate()
-    mode = "unweighted" if bank.unit_weights else "weighted"
-    ratio = 2.0 + epsilon if mode == "unweighted" else 2.5 + epsilon
-    value = qmc_value_from_w_hat(m, w_hat, epsilon)
-    return QmcEstimate(
-        value=value,
-        m=m,
-        w_hat=w_hat,
-        epsilon=epsilon,
-        delta=delta,
-        mode=mode,
-        guaranteed_ratio=ratio,
-        words_used=bank.words_used(),
-        m_exact=bank.m_exact,
-    )
+    estimator = QmcEstimateAlgorithm(epsilon, delta, seed)
+    for e in _edges_of(stream):
+        estimator.update(e)
+    return estimator.report()

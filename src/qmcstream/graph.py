@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DEFAULT_MAX_DENOMINATOR = 10**9
 
@@ -46,6 +46,17 @@ class WeightedEdge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
+def _check_simple(n: int, edges: Iterable[WeightedEdge]) -> None:
+    """Every endpoint lies in 0..n-1 and no vertex pair appears twice."""
+    seen = set()
+    for e in edges:
+        if not (0 <= e.u < n and 0 <= e.v < n):
+            raise ValueError(f"vertex out of range in edge {e.u}-{e.v} (n={n})")
+        if e.pair in seen:
+            raise ValueError(f"duplicate edge {e.pair[0]}-{e.pair[1]}")
+        seen.add(e.pair)
+
+
 @dataclass(frozen=True)
 class EdgeStream:
     """An ordered edge arrival sequence over vertices 0..n-1.
@@ -59,13 +70,7 @@ class EdgeStream:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(self.edges))
-        seen = set()
-        for e in self.edges:
-            if not (0 <= e.u < self.n and 0 <= e.v < self.n):
-                raise ValueError(f"vertex out of range in edge {e.u}-{e.v} (n={self.n})")
-            if e.pair in seen:
-                raise ValueError(f"duplicate edge {e.pair[0]}-{e.pair[1]}")
-            seen.add(e.pair)
+        _check_simple(self.n, self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -78,15 +83,10 @@ class WeightedGraph:
         self.n = n
         self.edges: tuple[WeightedEdge, ...] = tuple(edges)
         self.adjacency: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        seen = set()
+        _check_simple(n, self.edges)
         for e in self.edges:
-            if not (0 <= e.u < n and 0 <= e.v < n):
-                raise ValueError(f"vertex out of range in edge {e.u}-{e.v} (n={n})")
-            if e.pair in seen:
-                raise ValueError(f"duplicate edge {e.pair[0]}-{e.pair[1]}")
             if e.w == 0:
                 raise ValueError(f"zero-weight edge {e.u}-{e.v} present in graph")
-            seen.add(e.pair)
             self.adjacency[e.u].append((e.v, e.w))
             self.adjacency[e.v].append((e.u, e.w))
 
@@ -164,43 +164,61 @@ def max_incident_sum(g: WeightedGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def parse_edge_list(
-    text: str, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> EdgeStream:
-    """Parse the line-oriented edge list format into an EdgeStream.
+def read_edge_list(
+    lines: Iterable[str], max_denominator: int = DEFAULT_MAX_DENOMINATOR
+) -> tuple[int, Iterator[tuple[int, WeightedEdge]]]:
+    """Read the line-oriented edge list format in one forward pass.
 
     Format: a header line ``n <count>``, then one edge per line as
     ``u v [w]`` with the weight defaulting to 1. Weights may be integers,
     ``p/q`` rationals, or decimals; denominators above ``max_denominator``
     are rejected. Blank lines and ``#`` comments are skipped.
+
+    The header is read and checked now; the returned iterator parses the
+    edges one line at a time as it is advanced, yielding ``(lineno, edge)``.
+    Every rejection raises GraphParseError naming its line. Duplicate pairs
+    are not checked here, so the reader itself keeps constant memory.
     """
-    n: Optional[int] = None
+    content = _content_lines(lines)
+    header = next(content, None)
+    if header is None:
+        raise GraphParseError("line 1: missing header 'n <count>'")
+    lineno, parts = header
+    if len(parts) != 2 or parts[0] != "n":
+        raise GraphParseError(f"line {lineno}: expected header 'n <count>'")
+    try:
+        n = int(parts[1])
+    except ValueError:
+        raise GraphParseError(f"line {lineno}: vertex count must be an integer")
+    if n < 0:
+        raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
+    edges = ((i, parse_edge_line(p, i, n, max_denominator)) for i, p in content)
+    return n, edges
+
+
+def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """(1-based line number, whitespace-split fields) of non-blank, non-comment lines."""
+    for lineno, raw in enumerate(lines, start=1):
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts
+
+
+def parse_edge_list(
+    text: str, max_denominator: int = DEFAULT_MAX_DENOMINATOR
+) -> EdgeStream:
+    """Parse a whole edge list (see read_edge_list) into an EdgeStream,
+    rejecting a repeated vertex pair with the line it appears on."""
+    n, numbered = read_edge_list(text.splitlines(), max_denominator)
     edges: list[WeightedEdge] = []
     pairs = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise GraphParseError(f"line {lineno}: expected header 'n <count>'")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise GraphParseError(f"line {lineno}: vertex count must be an integer")
-            if n < 0:
-                raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
-            continue
-        edge = parse_edge_line(parts, lineno, n, max_denominator)
+    for lineno, edge in numbered:
         if edge.pair in pairs:
             raise GraphParseError(
                 f"line {lineno}: duplicate edge {edge.pair[0]}-{edge.pair[1]}"
             )
         pairs.add(edge.pair)
         edges.append(edge)
-    if n is None:
-        raise GraphParseError("line 1: missing header 'n <count>'")
     return EdgeStream(n, tuple(edges))
 
 

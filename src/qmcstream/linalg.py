@@ -94,13 +94,6 @@ def pauli_index(label: str) -> int:
     return index
 
 
-def pauli_term_matrix(label: str) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for ch in label:
-        out = np.kron(out, PAULIS[PAULI_LABELS.index(ch)])
-    return out
-
-
 @dataclass(frozen=True)
 class PauliDecomposition:
     """Coefficients of an operator in the Pauli term basis.

@@ -180,14 +180,6 @@ class QmcOperator:
     def rayleigh(self, psi: np.ndarray) -> float:
         return float(np.real(np.vdot(psi, self.apply(psi))) / np.real(np.vdot(psi, psi)))
 
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            e = np.zeros(self.dim)
-            e[i] = 1.0
-            out[:, i] = self.apply(e)
-        return out
-
 
 def qmc_apply(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
     """Unnormalized image Q psi over the non-isolated qubits of g."""

@@ -21,9 +21,3 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     )
     return np.random.Generator(np.random.Philox(ss))
 
-
-def as_generator(seed_or_rng) -> np.random.Generator:
-    """Accept either an integer seed or an existing Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return substream(int(seed_or_rng))

@@ -6,6 +6,8 @@ import sys
 import pytest
 
 from qmcstream.cli import main
+from qmcstream.graph import GraphParseError, WeightedEdge
+from test_graph import PARSE_ERRORS
 
 TRIANGLE = "n 3\n0 1\n1 2\n0 2\n"
 
@@ -58,15 +60,41 @@ class TestEstimate:
         _, out3, _ = run_cli(args[:-1] + ["43"], stream)
         assert json.loads(out3)["m"] == json.loads(out1)["m"]
 
-    def test_reads_stdin_once(self):
-        # The in-process reader refuses a second pass.
-        from qmcstream.cli import SinglePassReader, iter_stream_edges
+    def test_streaming_reader_is_lazy(self):
+        from qmcstream.cli import iter_stream_edges
 
-        reader = SinglePassReader(io.StringIO("n 2\n0 1\n"))
-        edges = list(iter_stream_edges(reader))
-        assert len(edges) == 1
-        with pytest.raises(RuntimeError, match="single pass"):
-            list(reader.lines())
+        read = []
+
+        def lines():  # one-shot: a generator cannot be rewound
+            for raw in ("n 3\n", "0 1\n", "1 2 x\n"):
+                read.append(raw)
+                yield raw
+
+        edges = iter_stream_edges(lines())
+        assert next(edges) == WeightedEdge(0, 1)
+        assert len(read) == 2
+        with pytest.raises(GraphParseError, match="line 3: bad weight"):
+            next(edges)
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        # The streaming path keeps no duplicate-pair set (constant memory).
+        [case for case in PARSE_ERRORS if "duplicate" not in case[1]],
+    )
+    def test_parse_errors_match_offline_parser(self, text, fragment, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(["estimate", "--eps", "0.5", "--delta", "0.5"]) == 1
+        assert f"error: {fragment}" in capsys.readouterr().err
+
+    def test_mode_is_derived_from_weights(self):
+        stream = "n 4\n0 1 5\n0 2 2\n0 3 1\n"
+        _, out, _ = run_cli(["estimate", "--eps", "0.5", "--delta", "0.2"], stream)
+        report = json.loads(out)
+        assert report["mode"] == "weighted"
+        assert report["guaranteed_ratio"] == 2.5 + 0.5
+        code, _, err = run_cli(["estimate", "--mode", "unweighted"], stream)
+        assert code == 1
+        assert "unrecognized arguments: --mode" in err
 
 
 class TestWexact:

@@ -280,7 +280,15 @@ class TestSpaceDiscipline:
             v = n_side + (i // n_side) % n_side
             long.process_edge(E(u, v))
         assert short.words_used() == long.words_used()
-        assert short.words_used() == 6 * short.size + 8
+        assert short.words_used() == 6 * short.size + 8 + 3 * short.chunk_size
+
+    def test_words_used_flushes_nothing(self, monkeypatch):
+        bank = est.EstimatorBank(0.5, 0.5)
+        bank.process_edge(E(0, 1))
+        flushed = []
+        monkeypatch.setattr(bank, "flush", lambda: flushed.append(True))
+        bank.words_used()
+        assert flushed == []
 
     def test_rejects_nonpositive_weight(self):
         bank = est.EstimatorBank(0.5, 0.5)

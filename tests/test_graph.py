@@ -26,6 +26,20 @@ def graph(n, *pairs):
     return WeightedGraph(n, [E(u, v, Fraction(w)) for u, v, w in pairs])
 
 
+# (input, message fragment); tests/test_cli.py runs the same table through
+# the streaming reader of `qmcstream estimate`.
+PARSE_ERRORS = [
+    ("n 2\n0 0 1", "line 2: self-loop"),
+    ("n 3\n0 1\n1 0", "line 3: duplicate"),
+    ("n 2\n0 1 -2", "line 2: negative weight"),
+    ("n 2\n0 1 x", "line 2: bad weight"),
+    ("n 2\n0 5", "line 2: vertex id out of range"),
+    ("0 1", "line 1: expected header"),
+    ("n 2\n0", "line 2: expected 'u v [w]'"),
+    ("n -3", "line 1: vertex count must be nonnegative"),
+    ("n x", "line 1: vertex count must be an integer"),
+]
+
 TRIANGLE = graph(3, (0, 1, 1), (1, 2, 1), (0, 2, 1))
 STAR521 = graph(4, (0, 1, 5), (0, 2, 2), (0, 3, 1))
 
@@ -50,18 +64,7 @@ class TestParsing:
         s = parse_edge_list("# graph\nn 2\n\n0 1\n")
         assert len(s) == 1
 
-    @pytest.mark.parametrize(
-        "text,fragment",
-        [
-            ("n 2\n0 0 1", "line 2: self-loop"),
-            ("n 3\n0 1\n1 0", "line 3: duplicate"),
-            ("n 2\n0 1 -2", "line 2: negative weight"),
-            ("n 2\n0 1 x", "line 2: bad weight"),
-            ("n 2\n0 5", "line 2: vertex id out of range"),
-            ("0 1", "line 1: expected header"),
-            ("n 2\n0", "line 2: expected 'u v [w]'"),
-        ],
-    )
+    @pytest.mark.parametrize("text,fragment", PARSE_ERRORS)
     def test_errors_name_the_line(self, text, fragment):
         with pytest.raises(GraphParseError, match=fragment.replace("[", "\\[")):
             parse_edge_list(text)
@@ -79,8 +82,9 @@ class TestParsing:
             assert parse_edge_list(serialize_edge_list(stream)) == stream
 
     def test_stream_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            EdgeStream(3, (E(0, 1), E(1, 0)))
+        for build in (EdgeStream, WeightedGraph):
+            with pytest.raises(ValueError, match="duplicate"):
+                build(3, (E(0, 1), E(1, 0)))
 
 
 class TestParameters:
