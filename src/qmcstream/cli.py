@@ -28,6 +28,7 @@ from .graph import (
     total_weight,
 )
 from .oracles import (
+    QMC_RESIDUAL_TOL,
     constructive_energies,
     guaranteed_lower_bound,
     max_cut_bruteforce,
@@ -39,7 +40,7 @@ from .relaxation import solve_vector_program
 TOLERANCES = {
     "structural": 1e-12,
     "iterative": 1e-9,
-    "qmc_exact_residual": 1e-9,
+    "qmc_exact_residual": QMC_RESIDUAL_TOL,
     "relaxation_bound_slack": 1e-6,
 }
 
@@ -329,7 +330,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleSizeError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

@@ -208,8 +208,12 @@ def parse_edge_list(
     text: str, max_denominator: int = DEFAULT_MAX_DENOMINATOR
 ) -> EdgeStream:
     """Parse a whole edge list (see read_edge_list) into an EdgeStream,
-    rejecting a repeated vertex pair with the line it appears on."""
-    n, numbered = read_edge_list(text.splitlines(), max_denominator)
+    rejecting a repeated vertex pair with the line it appears on.
+
+    Lines end only at newline characters, as in a text stream, so the
+    streaming reader splits text read from the same handle alike.
+    """
+    n, numbered = read_edge_list(text.split("\n"), max_denominator)
     edges: list[WeightedEdge] = []
     pairs = set()
     for lineno, edge in numbered:

@@ -3,7 +3,10 @@
 Brute-force Max-Cut and matrix-free Lanczos diagonalization both work per
 connected component (both quantities are additive over components), so the
 practical size limit is on the largest component rather than the whole graph.
-Closed-form bounds and the constructive assignments are exact rationals.
+Lanczos runs once per component, started in the half-filling sector where
+the top eigenvalue lives, and its value is certified by the true residual or
+the call fails. Closed-form bounds and the constructive assignments are
+exact rationals.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .fourier import popcounts
 from .graph import (
     InfeasibleSizeError,
     WeightedEdge,
@@ -30,6 +34,7 @@ from .rng import substream
 MAXCUT_COMPONENT_CAP = 24
 QMC_COMPONENT_CAP = 14
 LANCZOS_KRYLOV_CAP = 200
+QMC_RESIDUAL_TOL = 1e-9  # certified residual, relative to max(total weight, 1)
 
 
 @dataclass(frozen=True)
@@ -191,47 +196,35 @@ def qmc_apply(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
 
 
 class QmcConvergenceError(RuntimeError):
-    def __init__(self, best_value: float, best_residual: float):
-        super().__init__(
-            f"Lanczos failed to converge: best value {best_value:.12g} "
-            f"with residual {best_residual:.3e}"
-        )
-        self.best_value = best_value
-        self.best_residual = best_residual
+    """A Lanczos run ended with its true residual above the target."""
 
 
-def _lanczos_top(op: QmcOperator, v0: np.ndarray, max_steps: int):
-    """Largest Ritz pair from a fully reorthogonalized Lanczos run."""
-    dim = op.dim
-    steps = min(max_steps, dim)
-    basis = np.zeros((steps, dim))
-    alphas: list[float] = []
-    betas: list[float] = []
-    v = v0 / np.linalg.norm(v0)
-    basis[0] = v
-    k = 0
+def _lanczos_top(op: QmcOperator, v0: np.ndarray, target: float):
+    """Largest Ritz pair from a fully reorthogonalized Lanczos run.
+
+    Stops once the top Ritz pair's residual beta_k |s_k| (s_k: last entry of
+    its tridiagonal eigenvector) is at most target, or after
+    LANCZOS_KRYLOV_CAP steps.
+    """
+    steps = min(LANCZOS_KRYLOV_CAP, op.dim)
+    basis = np.zeros((steps, op.dim))
+    tri = np.zeros((steps, steps))
+    basis[0] = v0 / np.linalg.norm(v0)
     for k in range(steps):
         w = op.apply(basis[k])
-        alphas.append(float(np.dot(basis[k], w)))
-        w -= alphas[k] * basis[k]
-        if k > 0:
-            w -= betas[k - 1] * basis[k - 1]
-        # Full reorthogonalization, twice for numerical safety.
+        tri[k, k] = np.dot(basis[k], w)
+        # Full reorthogonalization, twice for numerical safety; it also
+        # removes the alpha_k and beta_{k-1} components of the recurrence.
         for _ in range(2):
             w -= basis[: k + 1].T @ (basis[: k + 1] @ w)
         b = float(np.linalg.norm(w))
-        if k + 1 == steps or b < 1e-14:
+        vals, vecs = np.linalg.eigh(tri[: k + 1, : k + 1])
+        if k + 1 == steps or b * abs(vecs[-1, -1]) <= target:
             break
-        betas.append(b)
+        tri[k, k + 1] = tri[k + 1, k] = b
         basis[k + 1] = w / b
-    size = k + 1
-    tri = np.diag(alphas[:size])
-    for i in range(size - 1):
-        tri[i, i + 1] = tri[i + 1, i] = betas[i]
-    vals, vecs = np.linalg.eigh(tri)
-    ritz = basis[:size].T @ vecs[:, -1]
-    ritz /= np.linalg.norm(ritz)
-    return float(vals[-1]), ritz
+    ritz = basis[: k + 1].T @ vecs[:, -1]
+    return float(vals[-1]), ritz / np.linalg.norm(ritz)
 
 
 @dataclass(frozen=True)
@@ -241,43 +234,33 @@ class QmcResult:
     residual: float
 
 
-def qmc_exact(
-    g: WeightedGraph,
-    tol: float = 1e-9,
-    seed: int = 0,
-    restarts: int = 3,
-    krylov: int = LANCZOS_KRYLOV_CAP,
-) -> QmcResult:
+def qmc_exact(g: WeightedGraph, seed: int = 0) -> QmcResult:
     """Maximum eigenvalue of the QMC operator, with witness when it fits.
 
-    Diagonalizes each connected component by restarted Lanczos with full
-    reorthogonalization and sums the values. The witness is the product
-    state over components, assembled only when the combined qubit count is
-    at most 14.
+    Each connected component gets one fully reorthogonalized Lanczos run,
+    started in the sector of states with floor(q/2) ones: the operator
+    commutes with total spin, so every multiplet has a member there, and it
+    only swaps two differing bits, so the Krylov space stays there. A
+    component's value is certified by ||Qv - lambda v|| <= QMC_RESIDUAL_TOL *
+    max(m, 1), m its total weight, or QmcConvergenceError is raised. The
+    witness is the product state over components, assembled only when the
+    combined qubit count is at most 14.
     """
-    comps = g.components()
     total = 0.0
     worst_residual = 0.0
     comp_states: list[tuple[list[int], np.ndarray]] = []
-    for ci, comp in enumerate(comps):
-        sub = g.induced_subgraph(comp)
-        op = QmcOperator(sub)
-        target = tol * max(op.total_weight, 1.0)
-        converged: list[tuple[float, np.ndarray, float]] = []
-        best_failed = (-np.inf, np.inf)
-        for attempt in range(max(restarts, 3)):
-            vec = substream(seed, 0x71C, ci, attempt).normal(size=op.dim)
-            for _cycle in range(4):
-                lam, vec = _lanczos_top(op, vec, krylov)
-                res = float(np.linalg.norm(op.apply(vec) - lam * vec))
-                if res <= target:
-                    converged.append((lam, vec, res))
-                    break
-                if lam > best_failed[0]:
-                    best_failed = (lam, res)
-        if not converged:
-            raise QmcConvergenceError(best_failed[0], best_failed[1])
-        lam, vec, res = max(converged, key=lambda t: t[0])
+    for ci, comp in enumerate(g.components()):
+        op = QmcOperator(g.induced_subgraph(comp))
+        target = QMC_RESIDUAL_TOL * max(op.total_weight, 1.0)
+        start = substream(seed, 0x71C, ci).normal(size=op.dim)
+        start[popcounts(op.qubits) != op.qubits // 2] = 0.0
+        lam, vec = _lanczos_top(op, start, target)
+        res = float(np.linalg.norm(op.apply(vec) - lam * vec))
+        if res > target:
+            raise QmcConvergenceError(
+                f"Lanczos failed to converge: value {lam:.12g} with residual "
+                f"{res:.3e} above {target:.3e}"
+            )
         total += lam
         worst_residual = max(worst_residual, res)
         comp_states.append((comp, vec))

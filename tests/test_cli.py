@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from qmcstream import oracles
 from qmcstream.cli import main
 from qmcstream.graph import GraphParseError, WeightedEdge
 from test_graph import PARSE_ERRORS
@@ -160,6 +161,20 @@ class TestExitCodes:
     def test_bad_flag_is_one(self):
         code, _, _ = run_cli(["estimate", "--eps", "nope"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["wexact", "estimate"])
+    def test_missing_input_is_one(self, command, tmp_path):
+        code, _, err = run_cli([command, "--input", str(tmp_path / "missing.edges")])
+        assert code == 1
+        assert err.startswith("error: ") and "No such file" in err
+        assert "Traceback" not in err
+
+    def test_unconverged_lanczos_is_one(self, monkeypatch, capsys):
+        monkeypatch.setattr(oracles, "LANCZOS_KRYLOV_CAP", 3)
+        ring = "n 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)) + "0 5\n"
+        monkeypatch.setattr(sys, "stdin", io.StringIO(ring))
+        assert main(["exact", "--compute", "qmc"]) == 1
+        assert capsys.readouterr().err.startswith("error: Lanczos failed to converge")
 
     def test_in_process_entry_point(self, capsys):
         assert main(["wexact", "--input", "/dev/null"]) == 1

@@ -38,6 +38,9 @@ PARSE_ERRORS = [
     ("n 2\n0", "line 2: expected 'u v [w]'"),
     ("n -3", "line 1: vertex count must be nonnegative"),
     ("n x", "line 1: vertex count must be an integer"),
+    # Only "\n" ends a line, as in a text stream read from stdin.
+    ("n 3\n0 1\x0c1 2", "line 2: expected 'u v [w]'"),
+    ("n 3\n0 1\r1 2", "line 2: expected 'u v [w]'"),
 ]
 
 TRIANGLE = graph(3, (0, 1, 1), (1, 2, 1), (0, 2, 1))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PAULI,
     connected_graphs_iso_free,
     dense_qmc_hamiltonian,
     fresh_rng,
@@ -132,12 +133,37 @@ class TestQmcExact:
     def test_agrees_with_dense_diagonalization(self):
         for i in range(25):
             rng = fresh_rng(42, i)
-            n = int(rng.integers(2, 7))
+            n = int(rng.integers(2, 10))
             g = random_graph(rng, n, 0.5, weights=(1, 2, 3))
             if not g.edges:
                 continue
             lam = np.linalg.eigvalsh(dense_qmc_hamiltonian(g))[-1]
             assert oc.qmc_exact(g).value == pytest.approx(lam, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_agrees_with_eigsh(self, n):
+        sparse = pytest.importorskip("scipy.sparse")
+        eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
+        rng = fresh_rng(44, n)
+        g = random_connected_graph(rng, n, 0.3, weights=(1, 2, 3))
+        # Sum of w/4 (I - XX - YY - ZZ) over edges; qubit 0 is the last factor.
+        h = sparse.csr_matrix((1 << n, 1 << n), dtype=complex)
+        for e in g.edges:
+            for term, sign in (("I", 1), ("X", -1), ("Y", -1), ("Z", -1)):
+                acc = sparse.identity(1, dtype=complex, format="csr")
+                for q in reversed(range(n)):
+                    factor = PAULI[term] if q in (e.u, e.v) else PAULI["I"]
+                    acc = sparse.kron(acc, factor, format="csr")
+                h = h + sign * float(e.w) / 4 * acc
+        lam = eigsh(h, k=1, which="LA", v0=rng.normal(size=1 << n), tol=1e-12)[0][0]
+        m = float(total_weight(g))
+        assert oc.qmc_exact(g).value == pytest.approx(lam, abs=1e-9 * m)
+
+    def test_unconverged_run_fails_loudly(self, monkeypatch):
+        monkeypatch.setattr(oc, "LANCZOS_KRYLOV_CAP", 3)
+        g = random_connected_graph(fresh_rng(45), 10, 0.3)
+        with pytest.raises(oc.QmcConvergenceError, match="Lanczos failed to converge"):
+            oc.qmc_exact(g)
 
     def test_additive_over_components(self):
         g = unit_graph(5, (0, 1), (2, 3), (3, 4))
