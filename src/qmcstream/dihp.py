@@ -36,13 +36,31 @@ class DihpInstance:
     hidden_partition: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
-        for matching in self.matchings:
+        if self.truth not in (YES, NO):
+            raise ValueError(f"truth must be {YES!r} or {NO!r}, not {self.truth!r}")
+        if self.t_players < 1:
+            raise ValueError("need at least one player")
+        if self.alpha_n < 1 or 2 * self.alpha_n > self.n:
+            raise ValueError(f"infeasible parameters: alpha_n={self.alpha_n}, n={self.n}")
+        if len(self.matchings) != self.t_players or len(self.labels) != self.t_players:
+            raise ValueError(f"need {self.t_players} matchings and {self.t_players} label rows")
+        for matching, bits in zip(self.matchings, self.labels):
+            if len(matching) != self.alpha_n or len(bits) != self.alpha_n:
+                raise ValueError(f"each player needs {self.alpha_n} edges and {self.alpha_n} label bits")
+            if any(b not in (0, 1) for b in bits):
+                raise ValueError("label bits must be 0 or 1")
             used = set()
             for u, v in matching:
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"matching edge {u}:{v} outside vertices 0..{self.n - 1}")
                 if u == v or u in used or v in used:
                     raise ValueError("matching edges must be pairwise non-incident")
                 used.update((u, v))
         if self.truth == YES:
+            if self.hidden_partition is None:
+                # Not part of the wire format: recover it from the labels.
+                partition = _recover_partition(self.n, self.matchings, self.labels)
+                object.__setattr__(self, "hidden_partition", partition)
             x = self.hidden_partition
             for matching, bits in zip(self.matchings, self.labels):
                 for (u, v), b in zip(matching, bits):
@@ -69,12 +87,6 @@ def sample_partial_matching(rng: np.random.Generator, n: int, k: int) -> tuple[t
 def sample_instance(
     n: int, alpha_n: int, t_players: int, truth: str, seed: int = 0
 ) -> DihpInstance:
-    if truth not in (YES, NO):
-        raise ValueError(f"truth must be {YES!r} or {NO!r}")
-    if t_players < 1:
-        raise ValueError("need at least one player")
-    if alpha_n < 1 or 2 * alpha_n > n:
-        raise ValueError(f"infeasible parameters: alpha_n={alpha_n}, n={n}")
     rng = substream(seed, 0xD1)
     matchings = tuple(sample_partial_matching(rng, n, alpha_n) for _ in range(t_players))
     if truth == YES:
@@ -98,26 +110,18 @@ def serialize_instance(inst: DihpInstance) -> str:
 
 
 def parse_instance(text: str) -> DihpInstance:
+    """Read `serialize_instance` output; DihpInstance validates what it holds."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    header = lines[0].split()
+    header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != "dihp":
         raise ValueError("expected header 'dihp n alpha_n T truth'")
     n, alpha_n, t_players = int(header[1]), int(header[2]), int(header[3])
-    truth = header[4]
-    matchings, labels = [], []
-    for t in range(t_players):
-        pairs = tuple(
-            tuple(int(x) for x in token.split(":")) for token in lines[1 + 2 * t].split()
-        )
-        matchings.append(tuple((u, v) for u, v in pairs))
-        labels.append(tuple(int(ch) for ch in lines[2 + 2 * t]))
-    # The hidden partition is not part of the wire format; YES instances
-    # parsed back are re-checked lazily by consumers that need it.
-    return DihpInstance(
-        n, alpha_n, t_players, tuple(matchings), tuple(labels),
-        truth if truth in (YES, NO) else NO,
-        _recover_partition(n, matchings, labels) if truth == YES else None,
+    matchings = tuple(
+        tuple(tuple(int(x) for x in token.split(":")) for token in line.split())
+        for line in lines[1::2]
     )
+    labels = tuple(tuple(int(ch) for ch in line) for line in lines[2::2])
+    return DihpInstance(n, alpha_n, t_players, matchings, labels, header[4])
 
 
 def _recover_partition(n, matchings, labels) -> tuple[int, ...]:

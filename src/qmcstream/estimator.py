@@ -8,11 +8,15 @@ so 2m * X estimates W unbiasedly; averaging B reservoirs per group and
 taking the median over K groups gives the (epsilon, delta) guarantee.
 
 The bank vectorizes all K*B reservoirs and consumes the stream in bounded
-chunks: the state of a reservoir after a chunk depends only on where its
-last replacement fell and on suffix incident maxima, so one categorical draw
-per reservoir per chunk reproduces the per-edge process exactly in
-distribution. Storage stays at a constant number of words per reservoir no
-matter how long the stream is.
+chunks. One categorical draw per reservoir per chunk picks where its last
+replacement in the chunk fell, if anywhere, which reproduces the per-edge
+process exactly in distribution. Replaced reservoirs are reset to their new
+candidate; then every reservoir takes the same update from one incidence
+lookup: the heaviest chunk edge at its sampled endpoint strictly after its
+candidate (after the chunk's start, for a kept reservoir) raises best_after
+and marks the reservoir superseded if it outweighs the candidate. Storage
+stays at a constant number of words per reservoir no matter how long the
+stream is; the exact m counter grows only with rational weights (README).
 """
 
 from __future__ import annotations
@@ -194,8 +198,8 @@ class EstimatorBank:
         ew = np.array(self._buf_w)
         self._buf_u, self._buf_v, self._buf_w = [], [], []
 
-        had_prior = self._weight_seen > 0
-        cum = self._weight_seen + np.cumsum(ew)
+        prior = self._weight_seen
+        cum = prior + np.cumsum(ew)
         p = ew / cum
         self._weight_seen = float(cum[-1])
         # P(last replacement in chunk = i) = p_i * prod_{j>i} (1 - p_j);
@@ -206,32 +210,26 @@ class EstimatorBank:
             suffix[:-1] = np.cumprod(one_minus[::-1])[::-1][1:]
         cumulative = np.cumsum(p * suffix)
         cat = np.searchsorted(cumulative, self._rng.random(self.size), side="right")
-        if not had_prior:
+        if prior == 0:
             # The very first edge replaces with probability exactly 1, so
             # "no replacement" has zero mass; keep rounding from leaking it.
             cat = np.minimum(cat, c - 1)
 
-        sv, sw_suffix, key, gstart = _chunk_incidence(eu, ev, ew, c)
-
+        # A replaced reservoir restarts from its new candidate at position
+        # cat; a kept one sees the whole chunk (position -1).
         replaced = cat < c
-        if np.any(replaced):
-            ridx = cat[replaced]
-            pick_v = self._rng.integers(0, 2, size=int(np.count_nonzero(replaced)))
-            vert = np.where(pick_v == 0, eu[ridx], ev[ridx])
-            w_new = ew[ridx]
-            ba = _suffix_incident_max(sv, sw_suffix, key, vert, ridx, c)
-            self._cand_eu[replaced] = eu[ridx]
-            self._cand_ev[replaced] = ev[ridx]
-            self._cand_v[replaced] = vert
-            self._cand_w[replaced] = w_new
-            self._best_after[replaced] = ba
-            self._superseded[replaced] = ba > w_new
+        ridx = cat[replaced]
+        pick_v = self._rng.integers(0, 2, size=len(ridx))
+        self._cand_eu[replaced] = eu[ridx]
+        self._cand_ev[replaced] = ev[ridx]
+        self._cand_v[replaced] = np.where(pick_v == 0, eu[ridx], ev[ridx])
+        self._cand_w[replaced] = ew[ridx]
+        self._best_after[replaced] = 0.0
+        self._superseded[replaced] = False
 
-        kept = ~replaced
-        if np.any(kept) and had_prior:
-            mv = _whole_chunk_incident_max(sv, sw_suffix, gstart, self._cand_v[kept])
-            self._best_after[kept] = np.maximum(self._best_after[kept], mv)
-            self._superseded[kept] |= mv > self._cand_w[kept]
+        ba = _incident_max_after(eu, ev, ew, self._cand_v, np.where(replaced, cat, -1))
+        np.maximum(self._best_after, ba, out=self._best_after)
+        self._superseded |= ba > self._cand_w
 
     def sample_values(self) -> np.ndarray:
         """Finalized X per reservoir (flushes pending edges)."""
@@ -269,44 +267,32 @@ class EstimatorBank:
         return 6 * self.size + 8 + 3 * self.chunk_size
 
 
-def _chunk_incidence(eu, ev, ew, c):
-    """Incidence rows sorted by (vertex, position) with suffix maxima."""
-    verts = np.concatenate([eu, ev])
-    pos = np.concatenate([np.arange(c), np.arange(c)])
-    wts = np.concatenate([ew, ew])
-    order = np.lexsort((pos, verts))
-    sv, sp, sw = verts[order], pos[order], wts[order]
-    n = len(sv)
-    suffix_max = np.empty(n)
-    for j in range(n - 1, -1, -1):
-        if j == n - 1 or sv[j + 1] != sv[j]:
-            suffix_max[j] = sw[j]
-        else:
-            suffix_max[j] = max(sw[j], suffix_max[j + 1])
-    key = sv * np.int64(c + 1) + sp
-    gstart = np.nonzero(np.concatenate([[True], sv[1:] != sv[:-1]]))[0]
-    return sv, suffix_max, key, gstart
+def _incident_max_after(eu, ev, ew, vert, after):
+    """Max chunk weight at vert[i] strictly after position after[i] (0 if none).
 
+    Incidence rows are sorted by (vertex, position), and each row holds the
+    maximum over its vertex's rows from there on: a reverse running maximum
+    of weight ranks, each vertex's run lifted above every later run by an
+    integer offset so that no run leaks into the one before it. A query
+    lands on the first row of its vertex past `after`; after = -1 lands on
+    the run's first row, the whole-chunk maximum.
+    """
+    c = len(ew)
+    verts = np.stack([eu, ev], axis=1).ravel()
+    key = verts * np.int64(c + 1) + np.repeat(np.arange(c), 2)
+    order = np.argsort(key)
+    key, sv = key[order], verts[order]
+    levels, rank = np.unique(ew, return_inverse=True)
+    run = np.cumsum(np.concatenate([[0], sv[1:] != sv[:-1]]))
+    lift = (run[-1] - run) * len(levels)
+    running = np.maximum.accumulate((np.repeat(rank, 2)[order] + lift)[::-1])[::-1]
+    suffix_max = levels[running - lift]
 
-def _suffix_incident_max(sv, suffix_max, key, vert, after_pos, c):
-    """Max weight strictly after position after_pos among edges at vert."""
-    q = vert * np.int64(c + 1) + after_pos
-    j = np.searchsorted(key, q, side="right")
+    j = np.searchsorted(key, vert * np.int64(c + 1) + after, side="right")
     hit = j < len(sv)
-    jj = np.where(hit, j, 0)
-    hit &= sv[jj] == vert
-    return np.where(hit, suffix_max[jj], 0.0)
-
-
-def _whole_chunk_incident_max(sv, suffix_max, gstart, verts):
-    """Max weight anywhere in the chunk among edges incident to each vert."""
-    uverts = sv[gstart]
-    gmax = suffix_max[gstart]
-    gi = np.searchsorted(uverts, verts)
-    hit = gi < len(uverts)
-    gii = np.where(hit, gi, 0)
-    hit &= uverts[gii] == verts
-    return np.where(hit, gmax[gii], 0.0)
+    j[~hit] = 0
+    hit &= sv[j] == vert
+    return np.where(hit, suffix_max[j], 0.0)
 
 
 # ---------------------------------------------------------------------------

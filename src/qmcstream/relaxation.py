@@ -17,6 +17,10 @@ from .graph import InfeasibleSizeError, WeightedGraph
 from .oracles import max_cut_bruteforce
 from .rng import substream
 
+# Each ascent stops at this Riemannian gradient norm or after this many steps.
+ASCENT_TOL = 1e-7
+ASCENT_MAX_ITERS = 5000
+
 
 @dataclass(frozen=True)
 class RelaxationResult:
@@ -52,8 +56,6 @@ def solve_vector_program(
     g: WeightedGraph,
     rank: int,
     restarts: int = 8,
-    tol: float = 1e-7,
-    max_iters: int = 5000,
     seed: int = 0,
 ) -> RelaxationResult:
     """Multi-restart projected gradient ascent on the product of unit spheres.
@@ -61,7 +63,8 @@ def solve_vector_program(
     Restart 0 starts from the brute-force optimal cut whenever that is
     feasible, guaranteeing best_value >= 2*MaxCut - m up to roundoff. The
     step size starts at 1/(2 max_u sum_v w_uv) and halves on non-improving
-    steps; convergence means the Riemannian gradient norm dropped below tol.
+    steps; convergence means the Riemannian gradient norm dropped below
+    ASCENT_TOL.
     """
     if rank < 2:
         raise ValueError("rank must be at least 2")
@@ -89,23 +92,23 @@ def solve_vector_program(
             rng = substream(seed, 0x5D9, ridx)
             x0 = rng.normal(size=(g.n, rank))
             x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
-        value, x, converged = _ascend(w, x0.copy(), tol, max_iters)
+        value, x, converged = _ascend(w, x0.copy())
         any_converged = any_converged or converged
         if value > best_value:
             best_value, best_assignment = value, x
     return RelaxationResult(best_value, best_assignment, restarts, any_converged)
 
 
-def _ascend(w: np.ndarray, x: np.ndarray, tol: float, max_iters: int):
+def _ascend(w: np.ndarray, x: np.ndarray):
     strength = np.max(np.sum(np.abs(w), axis=1))
     step = 1.0 / (2.0 * strength)
     value = _objective_fast(w, x)
     converged = False
-    for _ in range(max_iters):
+    for _ in range(ASCENT_MAX_ITERS):
         grad = -(w @ x)
         radial = np.sum(grad * x, axis=1, keepdims=True)
         riemannian = grad - radial * x
-        if np.linalg.norm(riemannian) <= tol:
+        if np.linalg.norm(riemannian) <= ASCENT_TOL:
             converged = True
             break
         y = x + step * riemannian

@@ -67,6 +67,27 @@ class TestSerialization:
             for (u, v), b in zip(matching, bits):
                 assert b == x[u] ^ x[v]
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("", "expected header"),
+            ("dihp 4 1 1 maybe\n0:1\n1\n", "truth must be"),
+            ("dihp 6 2 1 no\n0:1 2:3\n1\n", "label bits"),
+            ("dihp 6 2 1 no\n0:1\n10\n", "2 edges"),
+            ("dihp 6 2 2 no\n0:1 2:3\n10\n", "2 matchings and 2 label rows"),
+            ("dihp 6 2 1 no\n0:1 2:6\n10\n", "outside vertices 0..5"),
+            ("dihp 6 2 1 no\n0:1 2:3\n12\n", "must be 0 or 1"),
+            ("dihp 6 2 2 yes\n0:1 2:3\n10\n0:1 4:5\n01\n", "not consistent"),
+        ],
+    )
+    def test_parse_rejects(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            dihp.parse_instance(text)
+
+    def test_constructor_checks_player_count(self):
+        with pytest.raises(ValueError, match="1 matchings and 1 label rows"):
+            dihp.DihpInstance(4, 1, 1, (((0, 1),), ((2, 3),)), ((1,), (0,)), "no")
+
 
 class TestReduction:
     def test_single_player_keeps_label_one_edges(self):

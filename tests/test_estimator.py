@@ -174,6 +174,40 @@ class TestBankAgainstReference:
             assert abs(m - exact) < 0.02
 
 
+class TestFlushExact:
+    """Each reservoir's state is a deterministic function of its candidate."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, est.DEFAULT_CHUNK])
+    def test_state_is_the_later_incident_max(self, chunk):
+        for trial in range(6):
+            rng = fresh_rng(170, chunk, trial)
+            n = int(rng.integers(8, 14))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            rng.shuffle(pairs)
+            # few distinct weights, so ties between incident edges are common
+            edges = [
+                E(u, v, Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3))))
+                for u, v in pairs[: int(rng.integers(10, 41))]
+            ]
+            bank = est.EstimatorBank(0.5, 0.3, seed=trial, chunk_size=chunk)
+            bank.process_stream(edges)
+            # later[k, v]: max weight at v over the edges after arrival k
+            later = np.zeros((len(edges), n))
+            for k in range(len(edges) - 2, -1, -1):
+                later[k] = later[k + 1]
+                e = edges[k + 1]
+                for x in (e.u, e.v):
+                    later[k, x] = max(later[k, x], float(e.w))
+            arrival = {e.pair: k for k, e in enumerate(edges)}
+            cands = bank.candidate_edges()
+            k = np.array([arrival[(int(a), int(b))] for a, b in cands])
+            weights = np.array([float(e.w) for e in edges])
+            assert np.all((bank._cand_v == cands[:, 0]) | (bank._cand_v == cands[:, 1]))
+            assert np.array_equal(bank._cand_w, weights[k])
+            assert np.array_equal(bank._best_after, later[k, bank._cand_v])
+            assert np.array_equal(bank._superseded, bank._best_after > bank._cand_w)
+
+
 class TestBoundedness:
     def test_every_sample_value_in_unit_interval(self):
         for i in range(30):

@@ -5,6 +5,7 @@ from conftest import fresh_rng
 from qmcstream import fourier as fr
 from qmcstream import linalg as la
 from qmcstream.fourier_suite import (
+    _CHECKS,
     constant_channel,
     random_toy_protocol,
     verify_fourier_lemmas,
@@ -207,3 +208,8 @@ class TestVerificationSuite:
         }
         assert set(a["checks"]) == expected
         assert all(v["violations"] == 0 for v in a["checks"].values())
+
+    def test_count_is_the_configured_instance_count(self):
+        report = verify_fourier_lemmas(seed=1, quick=True)
+        for name, _runner, _full, quick in _CHECKS:
+            assert report["checks"][name]["count"] == quick, name
