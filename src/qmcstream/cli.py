@@ -35,13 +35,13 @@ from .oracles import (
     qmc_bounds,
     qmc_exact,
 )
-from .relaxation import solve_vector_program
+from .relaxation import GAP_TOL, solve_vector_program
 
 TOLERANCES = {
     "structural": 1e-12,
     "iterative": 1e-9,
     "qmc_exact_residual": QMC_RESIDUAL_TOL,
-    "relaxation_bound_slack": 1e-6,
+    "relaxation_bound_slack": GAP_TOL,
 }
 
 
@@ -193,6 +193,8 @@ def cmd_relax(args, out: TextIO) -> int:
             "n": g.n,
             "rank": rank,
             "best_value": result.best_value,
+            "upper": result.upper,
+            "gap": result.upper - result.best_value,
             "converged": result.converged,
             "restarts_used": result.restarts_used,
             "tolerances": TOLERANCES,

@@ -111,7 +111,7 @@ def serialize_instance(inst: DihpInstance) -> str:
 
 def parse_instance(text: str) -> DihpInstance:
     """Read `serialize_instance` output; DihpInstance validates what it holds."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     header = lines[0].split() if lines else []
     if len(header) != 5 or header[0] != "dihp":
         raise ValueError("expected header 'dihp n alpha_n T truth'")

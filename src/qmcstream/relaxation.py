@@ -1,40 +1,36 @@
-"""Shifted Goemans-Williamson vector program by low-rank Riemannian ascent.
+"""Shifted Goemans-Williamson vector program by the mixing method.
 
 maximize sum_{uv in E} w_uv * (-<f(u), f(v)>) over unit vectors f(u) in R^r.
-At full rank (r = n) the sphere-product parametrization covers the SDP
-feasible set exactly, and one restart is always seeded from the optimal cut
-so the best value found is a certified lower bound on 2*MaxCut - m.
+Each start sweeps the rows, f(u) <- normalize(-sum_v w_uv f(v)) (Wang, Chang
+& Kolter, arXiv:1706.00476), and stops once a dual bound certifies its value
+to within GAP_TOL * max(m, 1). The optimal cut, when feasible, is a floor, so
+the best value found is never below 2*MaxCut - m.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .graph import InfeasibleSizeError, WeightedGraph
+from .graph import InfeasibleSizeError, WeightedGraph, total_weight
 from .oracles import max_cut_bruteforce
 from .rng import substream
 
-# Each ascent stops at this Riemannian gradient norm or after this many steps.
-ASCENT_TOL = 1e-7
-ASCENT_MAX_ITERS = 5000
+# A run is certified once upper - value <= GAP_TOL * max(m, 1); it gives up
+# after MAX_SWEEPS sweeps and computes the bound every CHECK_EVERY sweeps.
+GAP_TOL = 1e-6
+MAX_SWEEPS = 5000
+CHECK_EVERY = 10
 
 
 @dataclass(frozen=True)
 class RelaxationResult:
     best_value: float
+    upper: float  # smallest dual bound computed; the SDP optimum is at most this
     assignment: np.ndarray  # (n, rank), unit rows
     restarts_used: int
-    converged: bool
-
-
-def _weight_matrix(g: WeightedGraph) -> np.ndarray:
-    w = np.zeros((g.n, g.n))
-    for e in g.edges:
-        w[e.u, e.v] = w[e.v, e.u] = float(e.w)
-    return w
+    converged: bool  # upper - best_value <= GAP_TOL * max(m, 1)
 
 
 def sdp_objective(g: WeightedGraph, assignment: np.ndarray) -> float:
@@ -48,8 +44,32 @@ def sdp_objective(g: WeightedGraph, assignment: np.ndarray) -> float:
     return float(sum(-float(e.w) * np.dot(a[e.u], a[e.v]) for e in g.edges))
 
 
-def _objective_fast(w: np.ndarray, x: np.ndarray) -> float:
-    return float(-0.5 * np.sum((w @ x) * x))
+def _certificate(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
+    """(value, upper) of unit rows x under weight matrix w.
+
+    With C = -w/2 and y_u = (C X)_uu, Diag(y) - C + t*I is dual feasible for
+    t = max(0, -lambda_min(Diag(y) - C)), so sum(y) + n*t bounds the SDP.
+    """
+    y = -0.5 * np.sum((w @ x) * x, axis=1)
+    value = float(np.sum(y))
+    lam = float(np.linalg.eigvalsh(np.diag(y) + w / 2)[0])
+    return value, value + len(y) * max(0.0, -lam)
+
+
+def _mix(w: np.ndarray, x: np.ndarray, tol: float) -> tuple[float, float]:
+    """Sweep x in place until certified or MAX_SWEEPS; return (value, upper)."""
+    adjacency = [(cols, w[u, cols]) for u, cols in enumerate(map(np.flatnonzero, w))]
+    for sweep in range(1, MAX_SWEEPS + 1):
+        for u, (cols, wts) in enumerate(adjacency):
+            s = -(wts @ x[cols])
+            norm = np.linalg.norm(s)
+            if norm > 0:
+                x[u] = s / norm
+        if sweep % CHECK_EVERY == 0 or sweep == MAX_SWEEPS:
+            value, upper = _certificate(w, x)
+            if upper - value <= tol:
+                break
+    return value, upper
 
 
 def solve_vector_program(
@@ -58,66 +78,41 @@ def solve_vector_program(
     restarts: int = 8,
     seed: int = 0,
 ) -> RelaxationResult:
-    """Multi-restart projected gradient ascent on the product of unit spheres.
+    """Mixing-method starts, at most `restarts`, until one certifies.
 
-    Restart 0 starts from the brute-force optimal cut whenever that is
-    feasible, guaranteeing best_value >= 2*MaxCut - m up to roundoff. The
-    step size starts at 1/(2 max_u sum_v w_uv) and halves on non-improving
-    steps; convergence means the Riemannian gradient norm dropped below
-    ASCENT_TOL.
+    Start k draws random unit rows from substream(seed, 0x5D9, k). A new
+    start runs only while the best value is not yet within the tolerance of
+    the smallest bound. When the brute-force optimal cut is feasible and its
+    value 2*MaxCut - m beats every start, the cut assignment is returned.
     """
     if rank < 2:
         raise ValueError("rank must be at least 2")
-    w = _weight_matrix(g)
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     if not g.edges:
         a = np.zeros((g.n, rank))
         a[:, 0] = 1.0
-        return RelaxationResult(0.0, a, restarts, True)
-
-    cut_seed: Optional[np.ndarray] = None
+        return RelaxationResult(0.0, 0.0, a, 0, True)
+    m = total_weight(g)
+    tol = GAP_TOL * max(float(m), 1.0)
+    w = np.zeros((g.n, g.n))
+    for e in g.edges:
+        w[e.u, e.v] = w[e.v, e.u] = float(e.w)
+    best_value, best, upper, used = -np.inf, None, np.inf, 0
+    while used < restarts and not upper - best_value <= tol:
+        x = substream(seed, 0x5D9, used).normal(size=(g.n, rank))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        value, bound = _mix(w, x, tol)
+        used += 1
+        upper = min(upper, bound)
+        if value > best_value:
+            best_value, best = value, x
     try:
         cut = max_cut_bruteforce(g)
-        cut_seed = np.zeros((g.n, rank))
-        cut_seed[:, 0] = [1.0 if s == 0 else -1.0 for s in cut.sides]
     except InfeasibleSizeError:
-        pass
-
-    best_value = -np.inf
-    best_assignment = None
-    any_converged = False
-    for ridx in range(restarts):
-        if ridx == 0 and cut_seed is not None:
-            x0 = cut_seed
-        else:
-            rng = substream(seed, 0x5D9, ridx)
-            x0 = rng.normal(size=(g.n, rank))
-            x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
-        value, x, converged = _ascend(w, x0.copy())
-        any_converged = any_converged or converged
-        if value > best_value:
-            best_value, best_assignment = value, x
-    return RelaxationResult(best_value, best_assignment, restarts, any_converged)
-
-
-def _ascend(w: np.ndarray, x: np.ndarray):
-    strength = np.max(np.sum(np.abs(w), axis=1))
-    step = 1.0 / (2.0 * strength)
-    value = _objective_fast(w, x)
-    converged = False
-    for _ in range(ASCENT_MAX_ITERS):
-        grad = -(w @ x)
-        radial = np.sum(grad * x, axis=1, keepdims=True)
-        riemannian = grad - radial * x
-        if np.linalg.norm(riemannian) <= ASCENT_TOL:
-            converged = True
-            break
-        y = x + step * riemannian
-        y /= np.linalg.norm(y, axis=1, keepdims=True)
-        new_value = _objective_fast(w, y)
-        if new_value > value:
-            x, value = y, new_value
-        else:
-            step /= 2
-            if step < 1e-18:
-                break
-    return value, x, converged
+        cut = None
+    if cut is not None and float(2 * cut.value - m) > best_value:
+        best_value = float(2 * cut.value - m)
+        best = np.zeros((g.n, rank))
+        best[:, 0] = [1.0 if s == 0 else -1.0 for s in cut.sides]
+    return RelaxationResult(best_value, upper, best, used, upper - best_value <= tol)

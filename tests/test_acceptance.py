@@ -185,8 +185,11 @@ def test_criterion_07_relaxation_chain():
         assert r.best_value >= 2 * mc - m - 1e-9
         assert qmc_exact(g, seed=i).value <= (m + 3 * r.best_value) / 4 + 1e-6 * max(m, 1)
         assert mc <= (m + r.best_value) / 2 + 1e-6 * m
+        assert r.converged
+        assert qmc_exact(g, seed=i).value <= (m + 3 * r.upper) / 4 + 1e-6 * max(m, 1)
         checked += 1
-    _report(7, f"K_hat >= 2MC-m, QMC <= (m+3K)/4, MC <= (m+K)/2 on {checked} graphs; zero violations")
+    _report(7, f"K_hat >= 2MC-m, QMC <= (m+3K)/4 and <= (m+3 upper)/4, MC <= (m+K)/2, every K "
+               f"certified, on {checked} graphs; zero violations")
 
 
 def test_criterion_08_dihp_separation():

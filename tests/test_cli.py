@@ -112,6 +112,9 @@ class TestRelax:
         code, out, _ = run_cli(["relax", "--input", "-", "--seed", "3"], TRIANGLE)
         report = json.loads(out)
         assert report["best_value"] == pytest.approx(1.5, abs=1e-5)
+        assert report["upper"] >= report["best_value"]
+        assert report["upper"] == pytest.approx(1.5, abs=1e-5)
+        assert report["gap"] <= 1e-6 * 3
 
 
 class TestDihp:

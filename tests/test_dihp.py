@@ -78,6 +78,7 @@ class TestSerialization:
             ("dihp 6 2 1 no\n0:1 2:6\n10\n", "outside vertices 0..5"),
             ("dihp 6 2 1 no\n0:1 2:3\n12\n", "must be 0 or 1"),
             ("dihp 6 2 2 yes\n0:1 2:3\n10\n0:1 4:5\n01\n", "not consistent"),
+            ("dihp 4 1 1 no\n0:1\x0c1\n", "need 1 matchings and 1 label rows"),
         ],
     )
     def test_parse_rejects(self, text, message):

@@ -79,10 +79,14 @@ class TestSolve:
     def test_empty_graph(self):
         r = rx.solve_vector_program(WeightedGraph(3, []), rank=2)
         assert r.best_value == 0.0
+        assert r.upper == 0.0 and r.converged
+        assert r.restarts_used == 0
 
     def test_rank_validation(self):
         with pytest.raises(ValueError, match="rank"):
             rx.solve_vector_program(TRIANGLE, rank=1)
+        with pytest.raises(ValueError, match="restarts"):
+            rx.solve_vector_program(TRIANGLE, rank=2, restarts=0)
 
     def test_cut_seeded_floor(self):
         for i in range(30):
@@ -102,6 +106,45 @@ class TestSolve:
             for k in (1, 2, 4, 8)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+
+
+def cycle(n):
+    return unit_graph(n, *[(i, (i + 1) % n) for i in range(n)])
+
+
+def weight_matrix(g):
+    w = np.zeros((g.n, g.n))
+    for e in g.edges:
+        w[e.u, e.v] = w[e.v, e.u] = float(e.w)
+    return w
+
+
+class TestCertificate:
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_odd_cycle_closed_form(self, n):
+        r = rx.solve_vector_program(cycle(n), rank=n, seed=n)
+        optimum = n * np.cos(np.pi / n)
+        assert r.converged
+        assert r.best_value == pytest.approx(optimum, abs=rx.GAP_TOL * n)
+        assert r.upper == pytest.approx(optimum, abs=rx.GAP_TOL * n)
+
+    @pytest.mark.parametrize("n", [5, 7, 9])
+    def test_bound_of_any_assignment_covers_optimum(self, n):
+        w = weight_matrix(cycle(n))
+        optimum = n * np.cos(np.pi / n)
+        for i in range(20):
+            x = fresh_rng(55, n, i).normal(size=(n, 3))
+            x /= np.linalg.norm(x, axis=1, keepdims=True)
+            value, upper = rx._certificate(w, x)
+            assert value <= optimum + 1e-12
+            assert upper >= optimum - 1e-12
+
+    def test_uncertified_run_is_reported(self, monkeypatch):
+        monkeypatch.setattr(rx, "MAX_SWEEPS", 1)
+        r = rx.solve_vector_program(cycle(7), rank=3, restarts=3, seed=1)
+        assert not r.converged
+        assert r.restarts_used == 3
+        assert r.upper >= r.best_value
 
 
 class TestBoundChain:
