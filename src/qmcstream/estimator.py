@@ -198,22 +198,15 @@ class EstimatorBank:
         ew = np.array(self._buf_w)
         self._buf_u, self._buf_v, self._buf_w = [], [], []
 
-        prior = self._weight_seen
-        cum = prior + np.cumsum(ew)
-        p = ew / cum
-        self._weight_seen = float(cum[-1])
-        # P(last replacement in chunk = i) = p_i * prod_{j>i} (1 - p_j);
-        # the leftover mass is "no replacement".
-        one_minus = 1.0 - p
-        suffix = np.ones(c)
-        if c > 1:
-            suffix[:-1] = np.cumprod(one_minus[::-1])[::-1][1:]
-        cumulative = np.cumsum(p * suffix)
-        cat = np.searchsorted(cumulative, self._rng.random(self.size), side="right")
-        if prior == 0:
-            # The very first edge replaces with probability exactly 1, so
-            # "no replacement" has zero mass; keep rounding from leaking it.
-            cat = np.minimum(cat, c - 1)
+        chunk_cum = np.cumsum(ew)
+        w_end = self._weight_seen + chunk_cum[-1]
+        self._weight_seen = float(w_end)
+        # P(last replacement in chunk = i) = p_i * prod_{j>i} (1 - p_j), with
+        # p_j = w_j / W_j and W_j the total weight through edge j, telescopes
+        # to w_i / W_end: one weighted draw picks it, and cat == c (the prior
+        # weight's share) is "no replacement". With no prior weight the last
+        # bin edge is x / x = 1 exactly, so U < 1 always replaces.
+        cat = np.searchsorted(chunk_cum / w_end, self._rng.random(self.size), side="right")
 
         # A replaced reservoir restarts from its new candidate at position
         # cat; a kept one sees the whole chunk (position -1).

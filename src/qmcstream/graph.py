@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-DEFAULT_MAX_DENOMINATOR = 10**9
+MAX_DENOMINATOR = 10**9  # largest accepted weight denominator
 
 
 class GraphParseError(ValueError):
@@ -164,14 +164,12 @@ def max_incident_sum(g: WeightedGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def read_edge_list(
-    lines: Iterable[str], max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> tuple[int, Iterator[tuple[int, WeightedEdge]]]:
+def read_edge_list(lines: Iterable[str]) -> tuple[int, Iterator[tuple[int, WeightedEdge]]]:
     """Read the line-oriented edge list format in one forward pass.
 
     Format: a header line ``n <count>``, then one edge per line as
     ``u v [w]`` with the weight defaulting to 1. Weights may be integers,
-    ``p/q`` rationals, or decimals; denominators above ``max_denominator``
+    ``p/q`` rationals, or decimals; denominators above ``MAX_DENOMINATOR``
     are rejected. Blank lines and ``#`` comments are skipped.
 
     The header is read and checked now; the returned iterator parses the
@@ -192,7 +190,7 @@ def read_edge_list(
         raise GraphParseError(f"line {lineno}: vertex count must be an integer")
     if n < 0:
         raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
-    edges = ((i, parse_edge_line(p, i, n, max_denominator)) for i, p in content)
+    edges = ((i, parse_edge_line(p, i, n)) for i, p in content)
     return n, edges
 
 
@@ -204,16 +202,14 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
             yield lineno, parts
 
 
-def parse_edge_list(
-    text: str, max_denominator: int = DEFAULT_MAX_DENOMINATOR
-) -> EdgeStream:
+def parse_edge_list(text: str) -> EdgeStream:
     """Parse a whole edge list (see read_edge_list) into an EdgeStream,
     rejecting a repeated vertex pair with the line it appears on.
 
     Lines end only at newline characters, as in a text stream, so the
     streaming reader splits text read from the same handle alike.
     """
-    n, numbered = read_edge_list(text.split("\n"), max_denominator)
+    n, numbered = read_edge_list(text.split("\n"))
     edges: list[WeightedEdge] = []
     pairs = set()
     for lineno, edge in numbered:
@@ -226,9 +222,7 @@ def parse_edge_list(
     return EdgeStream(n, tuple(edges))
 
 
-def parse_edge_line(
-    parts: Sequence[str], lineno: int, n: int, max_denominator: int
-) -> WeightedEdge:
+def parse_edge_line(parts: Sequence[str], lineno: int, n: int) -> WeightedEdge:
     """Parse one whitespace-split edge line; raises GraphParseError."""
     if len(parts) not in (2, 3):
         raise GraphParseError(f"line {lineno}: expected 'u v [w]'")
@@ -250,9 +244,9 @@ def parse_edge_line(
             raise GraphParseError(f"line {lineno}: negative weight {parts[2]}")
         if w == 0:
             raise GraphParseError(f"line {lineno}: zero weight {parts[2]}")
-        if w.denominator > max_denominator:
+        if w.denominator > MAX_DENOMINATOR:
             raise GraphParseError(
-                f"line {lineno}: weight denominator exceeds {max_denominator}"
+                f"line {lineno}: weight denominator exceeds {MAX_DENOMINATOR}"
             )
     return WeightedEdge(u, v, w)
 

@@ -1,8 +1,9 @@
 """Desk-scale ground truth for Max-Cut and Quantum Max-Cut.
 
 Brute-force Max-Cut and matrix-free Lanczos diagonalization both work per
-connected component (both quantities are additive over components), so the
-practical size limit is on the largest component rather than the whole graph.
+connected component (both quantities are additive over components). Max-Cut
+enumerates only each component's 2-core, so its size limit is on the largest
+2-core; Lanczos's is on the largest component.
 Lanczos runs once per component, started in the half-filling sector where
 the top eigenvalue lives, and its value is certified by the true residual or
 the call fails. Closed-form bounds and the constructive assignments are
@@ -47,100 +48,71 @@ def cut_value(g: WeightedGraph, sides: Sequence[int]) -> Fraction:
     return sum((e.w for e in g.edges if sides[e.u] != sides[e.v]), Fraction(0))
 
 
-def _weights_as_ints(edges) -> tuple[list[int], int]:
+def _weights_as_ints(weights: list[Fraction]) -> tuple[list[int], int]:
     """Scale rational weights to integers by the lcm of denominators."""
     lcm = 1
-    for e in edges:
-        lcm = lcm * e.w.denominator // gcd(lcm, e.w.denominator)
-    return [int(e.w * lcm) for e in edges], lcm
+    for w in weights:
+        lcm = lcm * w.denominator // gcd(lcm, w.denominator)
+    return [int(w * lcm) for w in weights], lcm
 
 
 def max_cut_bruteforce(g: WeightedGraph) -> CutAssignment:
-    """Optimal cut by enumeration, component by component.
+    """Optimal cut, with ties broken to the lexicographically smallest sides.
 
-    Components up to 24 vertices are enumerated directly, with ties broken
-    to the lexicographically smallest side-bitstring (each component's
-    lowest vertex on side 0). Larger components are first reduced by
-    stripping degree-one vertices, whose edges are always cuttable; the
-    remaining 2-core must fit the 24-vertex cap. Values are exact either
-    way; for stripped components the reported assignment is deterministic
-    but not necessarily the lexicographic minimum.
+    Degree-one vertices are stripped until each component is its 2-core (one
+    vertex for a tree). Weights are positive, so every optimal cut cuts every
+    stripped edge: a stripped vertex sits opposite the vertex it was stripped
+    from, and so has a fixed parity relative to the kept vertex it hangs from
+    (its anchor). Only the kept vertices are enumerated, at most 24 per
+    component (the 2-core cap). A kept vertex's mask bit is the side of the
+    smallest vertex anchored to it, ranked by that vertex, so mask order is
+    the lexicographic order of the full side string. With the top bit 0 (the
+    component's lowest vertex on side 0), the first maximal mask is the
+    lexicographically smallest optimal cut, at every component size.
     """
-    sides = [0] * g.n
+    n = g.n
+    degree = [len(adj) for adj in g.adjacency]
+    anchor, parity = list(range(n)), [0] * n
+    stripped: list[tuple[int, int]] = []  # (vertex, the vertex it hung from)
     value = Fraction(0)
-    for comp in g.components():
-        sub = g.induced_subgraph(comp)
-        if len(comp) <= MAXCUT_COMPONENT_CAP:
-            local_sides, local_value = _max_cut_component(sub)
-        else:
-            local_sides, local_value = _max_cut_stripped(sub)
-        for i, u in enumerate(comp):
-            sides[u] = local_sides[i]
-        value += local_value
-    return CutAssignment(tuple(sides), value)
-
-
-def _max_cut_stripped(sub: WeightedGraph) -> tuple[list[int], Fraction]:
-    degree = [len(adj) for adj in sub.adjacency]
-    alive_pairs = {e.pair: e.w for e in sub.edges}
-    neighbors = {u: {v: w for v, w in sub.adjacency[u]} for u in range(sub.n)}
-    stripped: list[tuple[int, int, Fraction]] = []  # (leaf, neighbor, weight)
-    queue = [u for u in range(sub.n) if degree[u] == 1]
-    while queue:
-        u = queue.pop()
+    leaves = [u for u in range(n) if degree[u] == 1]
+    while leaves:
+        u = leaves.pop()
         if degree[u] != 1:
             continue
-        (v, w), = ((v, w) for v, w in neighbors[u].items() if (min(u, v), max(u, v)) in alive_pairs)
-        stripped.append((u, v, w))
-        del alive_pairs[(min(u, v), max(u, v))]
-        degree[u] -= 1
-        degree[v] -= 1
-        if degree[v] == 1:
-            queue.append(v)
-    core_vertices = sorted(u for u in range(sub.n) if degree[u] > 0)
-    if len(core_vertices) > MAXCUT_COMPONENT_CAP:
-        raise InfeasibleSizeError(
-            f"2-core with {len(core_vertices)} vertices exceeds brute-force cap "
-            f"{MAXCUT_COMPONENT_CAP}"
-        )
-    sides = [-1] * sub.n
-    value = Fraction(0)
-    if core_vertices:
-        index = {u: i for i, u in enumerate(core_vertices)}
-        core_edges = [
-            WeightedEdge(index[p[0]], index[p[1]], w) for p, w in sorted(alive_pairs.items())
-        ]
-        core = WeightedGraph(len(core_vertices), core_edges)
-        core_sides, core_value = _max_cut_component(core)
-        for i, u in enumerate(core_vertices):
-            sides[u] = core_sides[i]
-        value += core_value
-    # Re-attach stripped leaves opposite their neighbor; every such edge cuts.
-    for u, v, w in reversed(stripped):
-        if sides[v] == -1:
-            sides[v] = 0
-        sides[u] = 1 - sides[v]
+        v, w = next((v, w) for v, w in g.adjacency[u] if degree[v] > 0)
+        degree[u], degree[v] = 0, degree[v] - 1
+        stripped.append((u, v))
         value += w
-    for u in range(sub.n):
-        if sides[u] == -1:
-            sides[u] = 0
-    return sides, value
+        if degree[v] == 1:
+            leaves.append(v)
+    for u, v in reversed(stripped):
+        anchor[u], parity[u] = anchor[v], parity[v] ^ 1
 
-
-def _max_cut_component(sub: WeightedGraph) -> tuple[list[int], Fraction]:
-    size = sub.n
-    int_w, lcm = _weights_as_ints(sub.edges)
-    # Vertex i occupies bit (size-1-i): increasing mask order is then
-    # lexicographic order of side-bitstrings, and fixing vertex 0 to side 0
-    # keeps exactly one representative per cut.
-    masks = np.arange(1 << (size - 1), dtype=np.uint32)
-    values = np.zeros(len(masks), dtype=np.int64)
-    for e, w in zip(sub.edges, int_w):
-        pu, pv = size - 1 - e.u, size - 1 - e.v
-        values += w * (((masks >> pu) ^ (masks >> pv)) & 1)
-    best = int(np.argmax(values))  # argmax takes the first, i.e. lex-min
-    local = [(best >> (size - 1 - i)) & 1 for i in range(size)]
-    return local, Fraction(int(values[best]), lcm)
+    sides = [0] * n
+    for comp in g.components():
+        flip: dict[int, int] = {}  # kept vertex -> parity of its smallest member
+        for u in comp:
+            flip.setdefault(anchor[u], parity[u])
+        if len(flip) > MAXCUT_COMPONENT_CAP:
+            raise InfeasibleSizeError(
+                f"2-core with {len(flip)} vertices exceeds brute-force cap "
+                f"{MAXCUT_COMPONENT_CAP}"
+            )
+        bit = {c: len(flip) - 1 - i for i, c in enumerate(flip)}
+        flips = sum(f << bit[c] for c, f in flip.items())
+        # Entry b holds the kept vertices' sides for mask b, i.e. b ^ flips.
+        kept_sides = np.arange(1 << (len(flip) - 1), dtype=np.uint32) ^ flips
+        values = np.zeros(len(kept_sides), dtype=np.int64)
+        core = [(c, d, w) for c in flip for d, w in g.adjacency[c] if c < d and d in bit]
+        int_w, lcm = _weights_as_ints([w for _, _, w in core])
+        for (c, d, _), w in zip(core, int_w):
+            values += w * (((kept_sides >> bit[c]) ^ (kept_sides >> bit[d])) & 1)
+        best = int(np.argmax(values))  # the first maximum is the lex-min
+        for u in comp:
+            sides[u] = (((best ^ flips) >> bit[anchor[u]]) & 1) ^ parity[u]
+        value += Fraction(int(values[best]), lcm)
+    return CutAssignment(tuple(sides), value)
 
 
 # ---------------------------------------------------------------------------

@@ -115,4 +115,7 @@ def solve_vector_program(
         best_value = float(2 * cut.value - m)
         best = np.zeros((g.n, rank))
         best[:, 0] = [1.0 if s == 0 else -1.0 for s in cut.sides]
+    # best_value is attained by a feasible point (the cut floor exactly), so a
+    # bound below it is roundoff in the eigenvalue, not a weaker relaxation.
+    upper = max(upper, best_value)
     return RelaxationResult(best_value, upper, best, used, upper - best_value <= tol)

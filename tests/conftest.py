@@ -4,6 +4,7 @@ and dense Hamiltonians built independently of the package's operators."""
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -98,6 +99,32 @@ def connected_graphs_iso_free(n):
             edges = [WeightedEdge(u, v) for i, (u, v) in enumerate(pairs) if (mask >> i) & 1]
             out.append(WeightedGraph(n, edges))
     return out
+
+
+def max_cut_enumerated(g: WeightedGraph) -> tuple[Fraction, tuple[int, ...]]:
+    """(value, sides) of an optimal cut by enumerating every assignment.
+
+    Each component of k vertices runs through all 2^(k-1) masks with its
+    lowest vertex on side 0, vertex i of the component at bit k-1-i, so the
+    first maximal mask is the lexicographically smallest optimal side string.
+    Deliberately independent of the package's 2-core reduction.
+    """
+    sides = [0] * g.n
+    value = Fraction(0)
+    for comp in g.components():
+        k = len(comp)
+        bit = {u: k - 1 - i for i, u in enumerate(comp)}
+        edges = [e for e in g.edges if e.u in bit]
+        lcm = math.lcm(*(e.w.denominator for e in edges))
+        masks = np.arange(1 << (k - 1), dtype=np.int64)
+        cuts = np.zeros(len(masks), dtype=np.int64)
+        for e in edges:
+            cuts += int(e.w * lcm) * (((masks >> bit[e.u]) ^ (masks >> bit[e.v])) & 1)
+        best = int(np.argmax(cuts))
+        for u in comp:
+            sides[u] = (best >> bit[u]) & 1
+        value += Fraction(int(cuts[best]), lcm)
+    return value, tuple(sides)
 
 
 def dense_qmc_hamiltonian(g: WeightedGraph) -> np.ndarray:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from conftest import (
     connected_graphs_iso_free,
     dense_qmc_hamiltonian,
     fresh_rng,
+    max_cut_enumerated,
     random_connected_graph,
     random_graph,
 )
@@ -36,6 +38,9 @@ FIGURE_GRAPH = unit_graph(
     (0, 1), (0, 6), (1, 2), (1, 5), (2, 3), (3, 4), (3, 7),
     (0, 5), (1, 3), (1, 7), (0, 2),
 )
+
+
+GRAPH_KINDS = ("random", "tree", "pendants", "forest")
 
 
 class TestMaxCut:
@@ -71,10 +76,47 @@ class TestMaxCut:
         assert oc.max_cut_bruteforce(g).value == 20
 
     def test_large_tree_solved_by_leaf_stripping(self):
-        g = unit_graph(30, *[(i, i + 1) for i in range(29)])
-        cut = oc.max_cut_bruteforce(g)
-        assert cut.value == 29
-        assert oc.cut_value(g, cut.sides) == 29
+        # 30-vertex paths, past the cap: the 2-core is one vertex, and the
+        # lexicographic tie-break puts vertex 0 on side 0 whatever the labels.
+        in_order, shuffled = list(range(30)), list(range(30))
+        random.Random(3).shuffle(shuffled)
+        for labels in (in_order, shuffled):
+            g = unit_graph(30, *zip(labels, labels[1:]))
+            cut = oc.max_cut_bruteforce(g)
+            assert cut.value == 29
+            assert oc.cut_value(g, cut.sides) == 29
+            assert cut.sides[0] == 0
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_matches_full_enumeration(self, kind):
+        weights = [Fraction(1), Fraction(2), Fraction(1, 3), Fraction(5, 2)]
+        for i in range(100):
+            rng = fresh_rng(43, GRAPH_KINDS.index(kind), i)
+            n = int(rng.integers(2, 17))
+            pairs = set()
+            if kind == "random":
+                p = rng.choice([0.15, 0.3, 0.5])
+                pairs = {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+            else:
+                # Random forest: each vertex after the first in its block joins an
+                # earlier one; "tree" is one block, "forest" several.
+                blocks = [n] if kind != "forest" else rng.multinomial(n, [1 / 3] * 3)
+                start = 0
+                for size in blocks:
+                    for j in range(start + 1, start + size):
+                        pairs.add((int(rng.integers(start, j)), j))
+                    start += size
+                if kind == "pendants":
+                    for _ in range(int(rng.integers(1, 4))):
+                        u, v = sorted(rng.choice(n, size=2, replace=False))
+                        pairs.add((int(u), int(v)))
+            relabel = rng.permutation(n)
+            g = WeightedGraph(n, [
+                E(int(relabel[u]), int(relabel[v]), weights[int(rng.integers(0, 4))])
+                for u, v in sorted(pairs)
+            ])
+            cut = oc.max_cut_bruteforce(g)
+            assert (cut.value, cut.sides) == max_cut_enumerated(g), (kind, i)
 
     def test_large_unicyclic_solved_exactly(self):
         # 40-vertex component: a 5-cycle with long tails; core fits the cap.

@@ -139,6 +139,16 @@ class TestCertificate:
             assert value <= optimum + 1e-12
             assert upper >= optimum - 1e-12
 
+    def test_upper_never_below_best_value(self):
+        # The graphs of acceptance criterion 7. On some of them the optimal-cut
+        # floor is the SDP optimum, and the float bound lands ulps below it.
+        for i in range(300):
+            rng = fresh_rng(97, i)
+            g = random_graph(rng, int(rng.integers(2, 9)), 0.5, weights=(1, 2, 3))
+            if g.edges:
+                r = rx.solve_vector_program(g, rank=g.n, seed=i)
+                assert r.upper >= r.best_value, i
+
     def test_uncertified_run_is_reported(self, monkeypatch):
         monkeypatch.setattr(rx, "MAX_SWEEPS", 1)
         r = rx.solve_vector_program(cycle(7), rank=3, restarts=3, seed=1)
