@@ -2,9 +2,10 @@
 
 The transform is hat f(S) = 2^{-n} sum_x f(x) (-1)^{x.S} applied entrywise,
 so it extends verbatim from scalars to matrices to superoperator matrices.
-This module also hosts the toy sequential protocols whose message tables the
-distinguishability bound is checked on, and the numerical verification suite
-for the convolution, support, and hypercontractivity facts.
+This module also hosts the linear-constraint and channel-family tables, the
+toy sequential protocols whose message tables the distinguishability bound
+is checked on, and the hypercontractivity sums. The randomized verification
+suite that replays these facts lives in ``fourier_suite``.
 """
 
 from __future__ import annotations
@@ -107,13 +108,18 @@ def operator_convolve(a_hat: FourierTable, f_hat: FourierTable) -> np.ndarray:
     return out
 
 
-def popcounts(n: int) -> np.ndarray:
-    idx = np.arange(1 << n)
-    out = np.zeros(1 << n, dtype=np.int64)
-    while idx.any():
-        out += idx & 1
-        idx >>= 1
+def _bit_counts(vals: np.ndarray) -> np.ndarray:
+    """Number of set bits of each nonnegative integer entry."""
+    out = np.zeros_like(vals)
+    v = vals.copy()
+    while v.any():
+        out += v & 1
+        v >>= 1
     return out
+
+
+def popcounts(n: int) -> np.ndarray:
+    return _bit_counts(np.arange(1 << n))
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +131,8 @@ def constraint_indicator_table(m_rows: Sequence[int], y: int, n: int) -> Boolean
     """Indicator of Mx = y over Z_2, rows of M given as n-bit masks."""
     if len(m_rows) > SCALAR_CAP or n > SCALAR_CAP:
         raise ValueError(f"constraint systems capped at {SCALAR_CAP}")
-    xs = np.arange(1 << n)
-    vals = np.ones(1 << n, dtype=complex)
-    for i, row in enumerate(m_rows):
-        bit = (y >> i) & 1
-        parity = _parity_of(xs & row)
-        vals *= parity == bit
-    return BooleanTable(n, "scalar", vals)
+    vals = z2_apply(m_rows, np.arange(1 << n)) == y
+    return BooleanTable(n, "scalar", vals.astype(complex))
 
 
 def constraint_indicator_coeffs(m_rows: Sequence[int], y: int, n: int) -> FourierTable:
@@ -143,10 +144,18 @@ def predicted_constraint_coeffs(m_rows: Sequence[int], y: int, n: int) -> np.nda
     """Closed form: (|solutions|/2^n) (-1)^{s.y} at M^T s, zero elsewhere."""
     count = int(np.sum(constraint_indicator_table(m_rows, y, n).values.real))
     out = np.zeros(1 << n, dtype=complex)
-    for s in range(1 << len(m_rows)):
-        mask = row_combination(m_rows, s)
-        sign = -1 if _parity_int(s & y) else 1
-        out[mask] = count / (1 << n) * sign
+    masks = [row_combination(m_rows, s) for s in range(1 << len(m_rows))]
+    # All s with one mask share a sign when the system is consistent; when
+    # it is not, the count is zero.
+    out[masks] = count / (1 << n) * (1 - 2 * z2_apply([y], np.arange(len(masks))))
+    return out
+
+
+def z2_apply(m_rows: Sequence[int], xs: np.ndarray) -> np.ndarray:
+    """M x over Z_2 for every x in xs: bit i is the parity of x & row i."""
+    out = np.zeros_like(xs)
+    for i, row in enumerate(m_rows):
+        out |= (_bit_counts(xs & row) & 1) << i
     return out
 
 
@@ -161,19 +170,6 @@ def row_combination(m_rows: Sequence[int], s: int) -> int:
 
 def row_space_masks(m_rows: Sequence[int]) -> set[int]:
     return {row_combination(m_rows, s) for s in range(1 << len(m_rows))}
-
-
-def _parity_of(vals: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(vals)
-    v = vals.copy()
-    while v.any():
-        out ^= v & 1
-        v >>= 1
-    return out
-
-
-def _parity_int(v: int) -> int:
-    return bin(v).count("1") & 1
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +192,9 @@ def channel_fourier(family: BooleanTable) -> FourierTable:
 
 def support_defect(ft: FourierTable, allowed_masks: set[int]) -> float:
     """Largest coefficient magnitude outside the allowed index set."""
-    worst = 0.0
-    for s in range(1 << ft.n):
-        if s not in allowed_masks:
-            worst = max(worst, float(np.max(np.abs(ft.coeffs[s]))))
-    return worst
+    outside = np.ones(1 << ft.n, dtype=bool)
+    outside[list(allowed_masks)] = False
+    return float(np.max(np.abs(ft.coeffs[outside]), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +245,11 @@ class ToyProtocol:
         rho[0, 0] = 1.0
         return rho
 
-    def label(self, t: int, x: int) -> int:
-        y = 0
-        for i, (u, v) in enumerate(self.matchings[t]):
-            y |= (((x >> u) ^ (x >> v)) & 1) << i
-        return y
-
-    def matching_mask(self, t: int, s: int) -> int:
-        mask = 0
-        for i, (u, v) in enumerate(self.matchings[t]):
-            if (s >> i) & 1:
-                mask ^= (1 << u) | (1 << v)
-        return mask
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each player's label map M_t over Z_2, one row mask per matched edge:
+        label bit i of x is x_u xor x_v for the i-th edge (u, v)."""
+        return tuple(tuple((1 << u) | (1 << v) for u, v in m) for m in self.matchings)
 
 
 def protocol_states(p: ToyProtocol) -> list[BooleanTable]:
@@ -270,10 +257,10 @@ def protocol_states(p: ToyProtocol) -> list[BooleanTable]:
     tables = []
     current = np.array([p.initial_state() for _ in range(1 << p.n)])
     tables.append(BooleanTable(p.n, "matrix", current.copy()))
-    for t in range(p.t_players):
+    for channels, rows in zip(p.channels, p.rows):
         nxt = np.empty_like(current)
-        for x in range(1 << p.n):
-            nxt[x] = p.channels[t][p.label(t, x)].apply_matrix(current[x])
+        for x, y in enumerate(z2_apply(rows, np.arange(1 << p.n))):
+            nxt[x] = channels[y].apply_matrix(current[x])
             DensityMatrix(nxt[x])  # every message must remain a valid state
         current = nxt
         tables.append(BooleanTable(p.n, "matrix", current.copy()))
@@ -287,10 +274,11 @@ def phi_state(p: ToyProtocol, t: int) -> np.ndarray:
     suffix_players = big_t - t
     suffix_size = 1 << (p.alpha_n * suffix_players)
     acc = np.zeros((p.dim, p.dim), dtype=complex)
+    labels = [z2_apply(rows, np.arange(1 << p.n)) for rows in p.rows[:t]]
     for x in range(1 << p.n):
         rho = p.initial_state()
         for s in range(t):
-            rho = p.channels[s][p.label(s, x)].apply_matrix(rho)
+            rho = p.channels[s][labels[s][x]].apply_matrix(rho)
         for ybits in range(suffix_size):
             r = rho
             for s in range(t, big_t):
@@ -313,11 +301,8 @@ def phibound_experiment(p: ToyProtocol) -> PhiBoundResult:
     tables = protocol_states(p)
     per_player = []
     for t in range(1, p.t_players):
-        f_hat = transform(tables[t])
-        contribution = 0.0
-        for s in range(1, 1 << p.alpha_n):
-            contribution += trace_norm(f_hat.coeffs[p.matching_mask(t, s)])
-        per_player.append(contribution)
+        masks = [row_combination(p.rows[t], s) for s in range(1, 1 << p.alpha_n)]
+        per_player.append(float(np.sum(trace_norm(transform(tables[t]).coeffs[masks]))))
     rhs = float(sum(per_player))
     if lhs > rhs + 1e-9:
         raise AssertionError(f"distinguishability bound violated: {lhs} > {rhs}")
@@ -369,13 +354,12 @@ def hypercontractivity_sums(f: BooleanTable, delta: float) -> Hypercontractivity
         raise ValueError("delta must lie in [0, 1]")
     if f.kind != "matrix":
         raise ValueError("expected a matrix-valued table")
-    norms_in = [trace_norm(v) for v in f.values]
-    if max(norms_in) > 1 + 1e-9:
+    if np.max(trace_norm(f.values)) > 1 + 1e-9:
         raise ValueError("table entries must have trace norm at most 1")
     beta = int(round(math.log2(f.values.shape[1])))
     ft = transform(f)
     weights = popcounts(f.n)
-    coeff_norms = np.array([trace_norm(c) for c in ft.coeffs])
+    coeff_norms = trace_norm(ft.coeffs)
     lhs = float(np.sum(np.power(float(delta), weights.astype(float)) * coeff_norms**2))
     bound = 2.0 ** (2 * delta * beta)
     levels = int(weights.max()) + 1 if len(weights) else 1
@@ -395,7 +379,7 @@ def schatten_weighted_sum(f: BooleanTable, p: float) -> tuple[float, float]:
     """
     ft = transform(f)
     weights = popcounts(f.n).astype(float)
-    coeff = np.array([schatten_norm(c, p) for c in ft.coeffs])
+    coeff = schatten_norm(ft.coeffs, p)
     lhs = float(np.sum((p - 1.0) ** weights * coeff**2))
-    base = float(np.mean([schatten_norm(v, p) ** p for v in f.values]))
+    base = float(np.mean(schatten_norm(f.values, p) ** p))
     return lhs, base

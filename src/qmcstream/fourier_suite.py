@@ -10,6 +10,7 @@ fully determined by the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -105,18 +106,11 @@ def _check_matrix_convolution(rng, rec: CheckRecord, count: int) -> None:
             g = fr.BooleanTable(n, "scalar", random_matrix(rng, size, 1)[:, 0])
         else:
             g = fr.BooleanTable(n, "matrix", np.array([random_matrix(rng, g_rows, c) for _ in range(size)]))
-        if scalar_f and not scalar_g:
-            prod = np.array([f.values[x] * g.values[x] for x in range(size)])
-            kind = "matrix"
-        elif scalar_g and not scalar_f:
-            prod = np.array([f.values[x] * g.values[x] for x in range(size)])
-            kind = "matrix"
-        elif scalar_f and scalar_g:
-            prod = np.array([f.values[x] * g.values[x] for x in range(size)])
-            kind = "scalar"
+        if scalar_f or scalar_g:
+            prod = np.array([fx * gx for fx, gx in zip(f.values, g.values)])
         else:
-            prod = np.array([f.values[x] @ g.values[x] for x in range(size)])
-            kind = "matrix"
+            prod = f.values @ g.values
+        kind = "scalar" if scalar_f and scalar_g else "matrix"
         direct = fr.transform(fr.BooleanTable(n, kind, prod)).coeffs
         viaconv = fr.convolve(fr.transform(f), fr.transform(g))
         rec.add(float(np.max(np.abs(direct - viaconv))), 1e-9)
@@ -163,20 +157,27 @@ def _check_linear_constraints(rng, rec: CheckRecord, count: int) -> None:
         rec.add(float(np.max(np.abs(direct - predicted))), 1e-10)
 
 
-def _check_factoring_support(rng, rec: CheckRecord, count: int) -> None:
+def _matrix_factoring(rng):
+    n = int(rng.integers(2, 6))
+    k = int(rng.integers(1, n))
+    rows = _random_bit_rows(rng, k, n)
+    dim = int(rng.integers(1, 4))
+    return n, rows, "matrix", [random_matrix(rng, dim, dim) for _ in range(1 << k)]
+
+
+def _channel_factoring(rng):
+    n = int(rng.integers(2, 5))
+    k = int(rng.integers(1, 3))
+    rows = _random_bit_rows(rng, k, n)
+    return n, rows, "superoperator", [random_channel(rng, 2, 2).matrix for _ in range(1 << k)]
+
+
+def _check_support(draw, rng, rec: CheckRecord, count: int) -> None:
+    """A table x -> images[Mx] has Fourier support in the row space of M."""
     for _ in range(count):
-        n = int(rng.integers(2, 6))
-        k = int(rng.integers(1, n))
-        rows = _random_bit_rows(rng, k, n)
-        dim = int(rng.integers(1, 4))
-        images = [random_matrix(rng, dim, dim) for _ in range(1 << k)]
-        values = []
-        for x in range(1 << n):
-            mx = 0
-            for i, row in enumerate(rows):
-                mx |= fr._parity_int(x & row) << i
-            values.append(images[mx])
-        ft = fr.transform(fr.BooleanTable(n, "matrix", np.array(values)))
+        n, rows, kind, images = draw(rng)
+        values = np.array(images)[fr.z2_apply(rows, np.arange(1 << n))]
+        ft = fr.transform(fr.BooleanTable(n, kind, values))
         rec.add(fr.support_defect(ft, fr.row_space_masks(rows)), 1e-10)
 
 
@@ -184,13 +185,13 @@ def _check_schatten_hc(rng, rec: CheckRecord, count: int) -> None:
     for _ in range(count):
         n = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 5))
-        raw = [random_matrix(rng, dim, dim) for _ in range(1 << n)]
+        raw = np.array([random_matrix(rng, dim, dim) for _ in range(1 << n)])
         # Unit-trace-norm entries: both the base^{1/p} and base^{2/p} forms
         # apply (base <= 1).
-        bounded = np.array([v / max(1.0, trace_norm(v)) for v in raw])
+        bounded = raw / np.maximum(1.0, trace_norm(raw))[:, None, None]
         tab = fr.BooleanTable(n, "matrix", bounded)
         # The scale-free form (exponent 2/p) on the unnormalized table.
-        raw_tab = fr.BooleanTable(n, "matrix", np.array(raw))
+        raw_tab = fr.BooleanTable(n, "matrix", raw)
         worst = 0.0
         for table, power in ((tab, 1.0), (raw_tab, 2.0)):
             for p in (1.25, 1.5, 2.0):
@@ -209,42 +210,22 @@ def _check_trace_hc(rng, rec: CheckRecord, count: int) -> None:
         rec.add(max(max(r.lhs - r.bound for r in sums), 0.0), 1e-9)
 
 
-def _check_channel_support(rng, rec: CheckRecord, count: int) -> None:
-    for _ in range(count):
-        n = int(rng.integers(2, 5))
-        k = int(rng.integers(1, 3))
-        rows = _random_bit_rows(rng, k, n)
-        dim = 2
-        images = [random_channel(rng, dim, 2).matrix for _ in range(1 << k)]
-        values = []
-        for x in range(1 << n):
-            mx = 0
-            for i, row in enumerate(rows):
-                mx |= fr._parity_int(x & row) << i
-            values.append(images[mx])
-        ft = fr.transform(fr.BooleanTable(n, "superoperator", np.array(values)))
-        rec.add(fr.support_defect(ft, fr.row_space_masks(rows)), 1e-10)
-
-
 def _check_mass_transfer(rng, rec: CheckRecord, count: int) -> None:
     for _ in range(count):
         p = random_toy_protocol(rng)
         tables = fr.protocol_states(p)
         worst = 0.0
-        for t in range(p.t_players):
-            fam = fr.BooleanTable(
-                p.n,
-                "superoperator",
-                np.array([p.channels[t][p.label(t, x)].matrix for x in range(1 << p.n)]),
-            )
+        for t, rows in enumerate(p.rows):
+            labels = fr.z2_apply(rows, np.arange(1 << p.n))
+            fam = fr.channel_family_table(p.n, lambda x: p.channels[t][labels[x]])
             a_hat = fr.transform(fam)
             f_prev_hat = fr.transform(tables[t])
             f_next_hat = fr.transform(tables[t + 1])
+            masks = [fr.row_combination(rows, s) for s in range(1 << p.alpha_n)]
             dim = p.dim
             for s_idx in range(1 << p.n):
                 acc = np.zeros((dim, dim), dtype=complex)
-                for s in range(1 << p.alpha_n):
-                    mask = p.matching_mask(t, s)
+                for mask in masks:
                     acc += (
                         a_hat.coeffs[mask] @ f_prev_hat.coeffs[mask ^ s_idx].reshape(-1)
                     ).reshape(dim, dim)
@@ -266,10 +247,10 @@ _CHECKS: list[tuple[str, Callable, int, int]] = [
     ("operator_convolution", _check_operator_convolution, 100, 10),
     ("parseval", _check_parseval, 200, 20),
     ("linear_constraints", _check_linear_constraints, 100, 10),
-    ("factoring_support", _check_factoring_support, 100, 10),
+    ("factoring_support", partial(_check_support, _matrix_factoring), 100, 10),
     ("schatten_hypercontractivity", _check_schatten_hc, 200, 20),
     ("trace_hypercontractivity", _check_trace_hc, 1000, 30),
-    ("channel_support", _check_channel_support, 100, 10),
+    ("channel_support", partial(_check_support, _channel_factoring), 100, 10),
     ("mass_transfer", _check_mass_transfer, 50, 5),
     ("phi_bound", _check_phi_bound, 50, 5),
 ]

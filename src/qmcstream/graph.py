@@ -25,13 +25,15 @@ class InfeasibleSizeError(ValueError):
 
 def _as_weight(value) -> Fraction:
     w = Fraction(value)
-    if w < 0:
-        raise ValueError(f"negative weight {value}")
+    if w <= 0:
+        raise ValueError(f"{'negative' if w < 0 else 'zero'} weight {value}")
     return w
 
 
 @dataclass(frozen=True)
 class WeightedEdge:
+    """An edge between two distinct vertices with a positive rational weight."""
+
     u: int
     v: int
     w: Fraction = Fraction(1)
@@ -85,8 +87,6 @@ class WeightedGraph:
         self.adjacency: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         _check_simple(n, self.edges)
         for e in self.edges:
-            if e.w == 0:
-                raise ValueError(f"zero-weight edge {e.u}-{e.v} present in graph")
             self.adjacency[e.u].append((e.v, e.w))
             self.adjacency[e.v].append((e.u, e.w))
 
@@ -232,23 +232,20 @@ def parse_edge_line(parts: Sequence[str], lineno: int, n: int) -> WeightedEdge:
         raise GraphParseError(f"line {lineno}: vertex ids must be integers")
     if not (0 <= u < n and 0 <= v < n):
         raise GraphParseError(f"line {lineno}: vertex id out of range 0..{n - 1}")
-    if u == v:
-        raise GraphParseError(f"line {lineno}: self-loop at vertex {u}")
     w = Fraction(1)
     if len(parts) == 3:
         try:
             w = Fraction(parts[2])
         except (ValueError, ZeroDivisionError):
             raise GraphParseError(f"line {lineno}: bad weight {parts[2]!r}")
-        if w < 0:
-            raise GraphParseError(f"line {lineno}: negative weight {parts[2]}")
-        if w == 0:
-            raise GraphParseError(f"line {lineno}: zero weight {parts[2]}")
         if w.denominator > MAX_DENOMINATOR:
             raise GraphParseError(
                 f"line {lineno}: weight denominator exceeds {MAX_DENOMINATOR}"
             )
-    return WeightedEdge(u, v, w)
+    try:
+        return WeightedEdge(u, v, w)
+    except ValueError as exc:  # self-loop or nonpositive weight
+        raise GraphParseError(f"line {lineno}: {exc}")
 
 
 def serialize_edge_list(stream: EdgeStream) -> str:

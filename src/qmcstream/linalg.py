@@ -43,23 +43,26 @@ def hermitian_eigendecomposition(a: np.ndarray, tol: float = 1e-10):
     return vals, vecs
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Schatten 1-norm: the sum of singular values, via the spectrum of A†A."""
+def trace_norm(a: np.ndarray):
+    """Schatten 1-norm: the sum of singular values, via the spectrum of A†A.
+
+    One square matrix gives a float; a stack of them (the last two axes)
+    gives an array of norms.
+    """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError("matrix must be square")
-    gram_eigs = np.linalg.eigvalsh(a.conj().T @ a)
-    return float(np.sum(np.sqrt(np.clip(gram_eigs, 0.0, None))))
+    return schatten_norm(a, 1)
 
 
-def schatten_norm(a: np.ndarray, p: float) -> float:
-    """Schatten p-norm for p >= 1."""
+def schatten_norm(a: np.ndarray, p: float):
+    """Schatten p-norm for p >= 1, of one matrix (a float) or of each matrix
+    in a stack over the last two axes (an array)."""
     a = np.asarray(a, dtype=complex)
-    gram_eigs = np.linalg.eigvalsh(a.conj().T @ a)
+    gram_eigs = np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)
     sigma = np.sqrt(np.clip(gram_eigs, 0.0, None))
-    if p == 1:
-        return float(np.sum(sigma))
-    return float(np.sum(sigma**p) ** (1.0 / p))
+    norms = np.sum(sigma, axis=-1) if p == 1 else np.sum(sigma**p, axis=-1) ** (1.0 / p)
+    return float(norms) if a.ndim == 2 else norms
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .linalg import pauli_decompose, pauli_reconstruct, DensityMatrix
 from .rng import substream
 
 MAXCUT_COMPONENT_CAP = 24
+MAXCUT_BLOCK = 1 << 15  # masks per block: temporaries stay in cache
 QMC_COMPONENT_CAP = 14
 LANCZOS_KRYLOV_CAP = 200
 QMC_RESIDUAL_TOL = 1e-9  # certified residual, relative to max(total weight, 1)
@@ -68,7 +69,9 @@ def max_cut_bruteforce(g: WeightedGraph) -> CutAssignment:
     smallest vertex anchored to it, ranked by that vertex, so mask order is
     the lexicographic order of the full side string. With the top bit 0 (the
     component's lowest vertex on side 0), the first maximal mask is the
-    lexicographically smallest optimal cut, at every component size.
+    lexicographically smallest optimal cut, at every component size. Cut
+    values are exact in int64: a 2-core whose weights, scaled to integers,
+    total 2^63 or more raises InfeasibleSizeError.
     """
     n = g.n
     degree = [len(adj) for adj in g.adjacency]
@@ -101,13 +104,21 @@ def max_cut_bruteforce(g: WeightedGraph) -> CutAssignment:
             )
         bit = {c: len(flip) - 1 - i for i, c in enumerate(flip)}
         flips = sum(f << bit[c] for c, f in flip.items())
-        # Entry b holds the kept vertices' sides for mask b, i.e. b ^ flips.
-        kept_sides = np.arange(1 << (len(flip) - 1), dtype=np.uint32) ^ flips
-        values = np.zeros(len(kept_sides), dtype=np.int64)
         core = [(c, d, w) for c in flip for d, w in g.adjacency[c] if c < d and d in bit]
         int_w, lcm = _weights_as_ints([w for _, _, w in core])
-        for (c, d, _), w in zip(core, int_w):
-            values += w * (((kept_sides >> bit[c]) ^ (kept_sides >> bit[d])) & 1)
+        if sum(int_w) >= 1 << 63:
+            raise InfeasibleSizeError(
+                f"2-core weights scaled by {lcm} to integers total {sum(int_w)}, "
+                "which overflows 64-bit cut values"
+            )
+        values = np.zeros(1 << (len(flip) - 1), dtype=np.int64)
+        # Entry b of a block holds the kept vertices' sides for mask b, i.e.
+        # b ^ flips; int64 temporaries never exceed a block.
+        for lo in range(0, len(values), MAXCUT_BLOCK):
+            kept_sides = np.arange(lo, min(lo + MAXCUT_BLOCK, len(values)), dtype=np.uint32) ^ flips
+            block = values[lo:lo + MAXCUT_BLOCK]
+            for (c, d, _), w in zip(core, int_w):
+                block += np.int64(w) * (((kept_sides >> bit[c]) ^ (kept_sides >> bit[d])) & 1)
         best = int(np.argmax(values))  # the first maximum is the lex-min
         for u in comp:
             sides[u] = (((best ^ flips) >> bit[anchor[u]]) & 1) ^ parity[u]

@@ -155,6 +155,12 @@ class TestExitCodes:
         assert code == 1
         assert "self-loop" in err
 
+    def test_weights_scaled_past_32_bits(self):
+        code, out, _ = run_cli(["exact", "--input", "-"], "n 3\n0 1 1/65537\n1 2 1/65539\n0 2 1\n")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["maxcut_exact"], report["maxcut_sides"]) == ("65538/65537", "011")
+
     def test_infeasible_is_two(self):
         path = "n 30\n" + "\n".join(f"{i} {i + 1}" for i in range(29)) + "\n"
         code, _, err = run_cli(["exact", "--input", "-", "--compute", "qmc"], path)

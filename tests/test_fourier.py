@@ -83,6 +83,30 @@ class TestLinearConstraints:
             assert np.max(np.abs(direct - fr.predicted_constraint_coeffs(rows, y, n))) < 1e-12
 
 
+class TestZ2Apply:
+    def test_matches_row_parities(self):
+        for i in range(40):
+            rng = fresh_rng(174, i)
+            n, k = int(rng.integers(1, 9)), int(rng.integers(0, 6))
+            rows = [int(rng.integers(0, 1 << n)) for _ in range(k)]
+            expect = [
+                sum((bin(x & row).count("1") & 1) << j for j, row in enumerate(rows))
+                for x in range(1 << n)
+            ]
+            assert fr.z2_apply(rows, np.arange(1 << n)).tolist() == expect
+        assert fr.popcounts(8).tolist() == [bin(x).count("1") for x in range(256)]
+
+    def test_protocol_rows_give_matched_edge_labels(self):
+        for i in range(20):
+            p = random_toy_protocol(fresh_rng(175, i))
+            for matching, rows in zip(p.matchings, p.rows):
+                expect = [
+                    sum((((x >> u) ^ (x >> v)) & 1) << j for j, (u, v) in enumerate(matching))
+                    for x in range(1 << p.n)
+                ]
+                assert fr.z2_apply(rows, np.arange(1 << p.n)).tolist() == expect
+
+
 class TestChannelFourier:
     def test_constant_family(self):
         ch = la.random_channel(fresh_rng(74), 2, 2)

@@ -32,6 +32,7 @@ PARSE_ERRORS = [
     ("n 2\n0 0 1", "line 2: self-loop"),
     ("n 3\n0 1\n1 0", "line 3: duplicate"),
     ("n 2\n0 1 -2", "line 2: negative weight"),
+    ("n 2\n0 1 0", "line 2: zero weight"),
     ("n 2\n0 1 x", "line 2: bad weight"),
     ("n 2\n0 5", "line 2: vertex id out of range"),
     ("0 1", "line 1: expected header"),

@@ -70,6 +70,27 @@ class TestTraceNorm:
             assert la.trace_norm(a) >= abs(np.trace(a)) - 1e-9
 
 
+class TestStackedNorms:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_stack_equals_per_matrix(self, dim):
+        for i in range(20):
+            rng = fresh_rng(172, dim, i)
+            stack = np.array([la.random_matrix(rng, dim, dim) for _ in range(int(rng.integers(1, 9)))])
+            assert la.trace_norm(stack).tolist() == [la.trace_norm(a) for a in stack]
+            for p in (1, 1.25, 1.5, 2.0, 3.0):
+                per_matrix = [la.schatten_norm(a, p) for a in stack]
+                assert np.allclose(la.schatten_norm(stack, p), per_matrix, rtol=1e-14, atol=0)
+
+    def test_leading_axes_are_kept(self):
+        stack = la.random_matrix(fresh_rng(173), 12, 3).reshape(2, 2, 3, 3)
+        norms = la.trace_norm(stack)
+        assert norms.shape == (2, 2)
+        assert norms[1, 0] == la.trace_norm(stack[1, 0])
+        assert isinstance(la.trace_norm(stack[0, 0]), float)
+        with pytest.raises(ValueError, match="square"):
+            la.trace_norm(np.zeros((4, 2, 3)))
+
+
 class TestPauliDecomposition:
     def test_projector_zero(self):
         dec = la.pauli_decompose(np.diag([1.0, 0.0]).astype(complex))

@@ -127,6 +127,25 @@ class TestMaxCut:
         assert cut.value == len(pairs) - 1  # odd cycle loses exactly one edge
         assert oc.cut_value(g, cut.sides) == cut.value
 
+    def test_block_boundaries_do_not_change_the_cut(self, monkeypatch):
+        monkeypatch.setattr(oc, "MAXCUT_BLOCK", 8)
+        for i in range(40):
+            rng = fresh_rng(171, i)
+            g = random_graph(rng, int(rng.integers(2, 11)), p=0.5, weights=(1, 2, 3))
+            cut = oc.max_cut_bruteforce(g)
+            assert (cut.value, cut.sides) == max_cut_enumerated(g), i
+
+    def test_scaled_weights_past_32_bits(self):
+        # The lcm 65537 * 65539 scales the weight-1 edge past 2^32.
+        g = WeightedGraph(3, [E(0, 1, Fraction(1, 65537)), E(1, 2, Fraction(1, 65539)), E(0, 2)])
+        cut = oc.max_cut_bruteforce(g)
+        assert (cut.value, cut.sides) == (Fraction(65538, 65537), (0, 1, 1))
+
+    def test_scaled_total_past_64_bits_rejected(self):
+        g = WeightedGraph(3, [E(0, 1, 2**62), E(1, 2, 2**62), E(0, 2)])
+        with pytest.raises(InfeasibleSizeError, match="overflows 64-bit"):
+            oc.max_cut_bruteforce(g)
+
     def test_oversized_core_rejected(self):
         g = unit_graph(26, *[(i, (i + 1) % 26) for i in range(26)])
         with pytest.raises(InfeasibleSizeError):
