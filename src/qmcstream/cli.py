@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .dihp import sample_instance, separation_experiment, serialize_instance
@@ -43,10 +42,6 @@ TOLERANCES = {
     "qmc_exact_residual": QMC_RESIDUAL_TOL,
     "relaxation_bound_slack": GAP_TOL,
 }
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _emit(obj: dict, out: TextIO) -> None:
@@ -103,7 +98,7 @@ def cmd_estimate(args, out: TextIO) -> int:
             "seed": args.seed,
             "value": q.value,
             "m": q.m,
-            "m_exact": _frac_str(q.m_exact),
+            "m_exact": str(q.m_exact),
             "W_hat": q.w_hat,
             "epsilon": q.epsilon,
             "delta": q.delta,
@@ -128,9 +123,9 @@ def cmd_wexact(args, out: TextIO) -> int:
             "command": "wexact",
             "n": g.n,
             "m": float(m),
-            "m_exact": _frac_str(m),
+            "m_exact": str(m),
             "W": float(w),
-            "W_exact": _frac_str(w),
+            "W_exact": str(w),
             "edges": g.m_edges,
         },
         out,
@@ -148,15 +143,15 @@ def cmd_exact(args, out: TextIO) -> int:
         "seed": args.seed,
         "n": g.n,
         "m": float(total_weight(g)),
-        "m_exact": _frac_str(total_weight(g)),
+        "m_exact": str(total_weight(g)),
         "W": float(max_incident_sum(g)),
-        "W_exact": _frac_str(max_incident_sum(g)),
+        "W_exact": str(max_incident_sum(g)),
         "tolerances": TOLERANCES,
     }
     if "maxcut" in compute:
         cut = max_cut_bruteforce(g)
         report["maxcut"] = float(cut.value)
-        report["maxcut_exact"] = _frac_str(cut.value)
+        report["maxcut_exact"] = str(cut.value)
         report["maxcut_sides"] = "".join(str(s) for s in cut.sides)
     if "qmc" in compute:
         res = qmc_exact(g, seed=args.seed)

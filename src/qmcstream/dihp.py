@@ -16,7 +16,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .estimator import QmcEstimateAlgorithm  # noqa: F401 (a protocol player)
-from .graph import EdgeStream, WeightedEdge, WeightedGraph, is_bipartite
+from .graph import EdgeStream, WeightedEdge, WeightedGraph, dfs_forest, is_bipartite
 from .oracles import max_cut_bruteforce, qmc_exact
 from .relaxation import solve_vector_program
 from .rng import substream
@@ -125,41 +125,46 @@ def parse_instance(text: str) -> DihpInstance:
 
 
 def _recover_partition(n, matchings, labels) -> tuple[int, ...]:
-    """2-color the bit-0/bit-1 constraint graph of a YES instance."""
-    color = [-1] * n
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for matching, bits in zip(matchings, labels):
-        for (u, v), b in zip(matching, bits):
-            adj[u].append((v, b))
-            adj[v].append((u, b))
-    for root in range(n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, b in adj[u]:
-                want = color[u] ^ b
-                if color[v] < 0:
-                    color[v] = want
-                    stack.append(v)
-                elif color[v] != want:
-                    raise ValueError("labels are not consistent with any partition")
+    """2-color the bit-0/bit-1 constraint graph of a YES instance.
+
+    Colours follow the tree edges of its DFS forest, each child taking its
+    parent's colour XOR the edge's bit; then every label is checked.
+    """
+    constraints = [
+        (u, v, b) for matching, bits in zip(matchings, labels) for (u, v), b in zip(matching, bits)
+    ]
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    bit = {}
+    for u, v, b in constraints:
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+        bit[u, v] = bit[v, u] = b
+    color = [0] * n
+    for v, p in dfs_forest(neighbors):
+        if p is not None:
+            color[v] = color[p] ^ bit[p, v]
+    if any(color[u] ^ color[v] != b for u, v, b in constraints):
+        raise ValueError("labels are not consistent with any partition")
     return tuple(color)
 
 
-def reduce_to_stream(inst: DihpInstance) -> EdgeStream:
-    """Bit-1 edges in (player, within-matching) order, deduplicated against
-    every earlier player's matching; unit weights."""
+def _player_edges(inst: DihpInstance) -> list[list[WeightedEdge]]:
+    """Each player's part of the reduced stream: its bit-1 edges, in
+    matching order, whose vertex pair no earlier player's matching holds
+    in either orientation; unit weights."""
     seen: set[tuple[int, int]] = set()
-    edges: list[WeightedEdge] = []
+    parts = []
     for matching, bits in zip(inst.matchings, inst.labels):
-        for (u, v), b in zip(matching, bits):
-            if b == 1 and (u, v) not in seen:
-                edges.append(WeightedEdge(u, v))
-        seen.update(matching)
-    return EdgeStream(inst.n, tuple(edges))
+        edges = [WeightedEdge(u, v) for (u, v), b in zip(matching, bits) if b == 1]
+        parts.append([e for e in edges if e.pair not in seen])
+        seen.update((min(p), max(p)) for p in matching)
+    return parts
+
+
+def reduce_to_stream(inst: DihpInstance) -> EdgeStream:
+    """The players' parts of the reduced stream (see _player_edges) in
+    player order."""
+    return EdgeStream(inst.n, tuple(e for part in _player_edges(inst) for e in part))
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +242,12 @@ def run_protocol(
     """
     if mode not in ("mc", "qmc"):
         raise ValueError("mode must be 'mc' or 'qmc'")
-    stream = reduce_to_stream(inst)
-    per_player: dict[tuple[int, int], int] = {}
-    for t, matching in enumerate(inst.matchings):
-        for pair in matching:
-            per_player.setdefault(pair, t)
     handoffs = []
     m = 0
-    e_iter = iter(stream.edges)
-    pending = next(e_iter, None)
-    for t in range(inst.t_players):
-        while pending is not None and per_player[pending.pair] == t:
-            algorithm.update(pending)
-            m += 1
-            pending = next(e_iter, None)
+    for part in _player_edges(inst):
+        for e in part:
+            algorithm.update(e)
+        m += len(part)
         handoffs.append(algorithm.word_count() + 1)
     reported = algorithm.result()
     denom = (2.0 - epsilon) if mode == "mc" else (4.0 - epsilon)

@@ -348,26 +348,31 @@ class HypercontractivityRecord:
     level_square_sums: tuple[float, ...]  # sum of ||.||_1^2 per |S|
 
 
-def hypercontractivity_sums(f: BooleanTable, delta: float) -> HypercontractivityRecord:
-    """Weighted coefficient mass of a trace-norm-bounded matrix table."""
-    if not (0 <= delta <= 1):
+def hypercontractivity_sums(
+    f: BooleanTable, deltas: Sequence[float]
+) -> list[HypercontractivityRecord]:
+    """Weighted coefficient mass of a trace-norm-bounded matrix table, one
+    record per delta; the transform and its norms are computed once."""
+    if not all(0 <= delta <= 1 for delta in deltas):
         raise ValueError("delta must lie in [0, 1]")
     if f.kind != "matrix":
         raise ValueError("expected a matrix-valued table")
     if np.max(trace_norm(f.values)) > 1 + 1e-9:
         raise ValueError("table entries must have trace norm at most 1")
     beta = int(round(math.log2(f.values.shape[1])))
-    ft = transform(f)
     weights = popcounts(f.n)
-    coeff_norms = trace_norm(ft.coeffs)
-    lhs = float(np.sum(np.power(float(delta), weights.astype(float)) * coeff_norms**2))
-    bound = 2.0 ** (2 * delta * beta)
+    coeff_norms = trace_norm(transform(f).coeffs)
     levels = int(weights.max()) + 1 if len(weights) else 1
     level_norm = tuple(float(np.sum(coeff_norms[weights == k])) for k in range(levels))
     level_sq = tuple(float(np.sum(coeff_norms[weights == k] ** 2)) for k in range(levels))
-    if lhs > bound + 1e-9:
-        raise AssertionError(f"hypercontractive bound violated: {lhs} > {bound}")
-    return HypercontractivityRecord(delta, lhs, bound, level_norm, level_sq)
+    records = []
+    for delta in deltas:
+        lhs = float(np.sum(np.power(float(delta), weights.astype(float)) * coeff_norms**2))
+        bound = 2.0 ** (2 * delta * beta)
+        if lhs > bound + 1e-9:
+            raise AssertionError(f"hypercontractive bound violated: {lhs} > {bound}")
+        records.append(HypercontractivityRecord(delta, lhs, bound, level_norm, level_sq))
+    return records
 
 
 def schatten_weighted_sum(f: BooleanTable, p: float) -> tuple[float, float]:

@@ -206,7 +206,7 @@ def _check_trace_hc(rng, rec: CheckRecord, count: int) -> None:
         tab = fr.BooleanTable(
             4, "matrix", np.array([random_density(rng, 1 << beta).matrix for _ in range(16)])
         )
-        sums = [fr.hypercontractivity_sums(tab, delta) for delta in (0.0, 0.5, 1.0)]
+        sums = fr.hypercontractivity_sums(tab, (0.0, 0.5, 1.0))
         rec.add(max(max(r.lhs - r.bound for r in sums), 0.0), 1e-9)
 
 

@@ -3,7 +3,8 @@
 Weights are exact rationals throughout this module; floating point enters
 only in the numerical modules that consume graphs. Two decompositions are
 provided: the heaviest-incident-edge matching/forest split, and a DFS forest
-with its depth levels and per-level star partition.
+from which components, depth levels with their star partition, and
+bipartiteness with its witness are all read.
 """
 
 from __future__ import annotations
@@ -104,31 +105,18 @@ class WeightedGraph:
     def is_unit_weighted(self) -> bool:
         return all(e.w == 1 for e in self.edges)
 
-    def degree(self, u: int) -> int:
-        return len(self.adjacency[u])
-
     def non_isolated(self) -> list[int]:
         return [u for u in range(self.n) if self.adjacency[u]]
 
     def components(self) -> list[list[int]]:
-        """Connected components restricted to non-isolated vertices."""
-        seen = [False] * self.n
-        comps = []
-        for root in range(self.n):
-            if seen[root] or not self.adjacency[root]:
-                continue
-            stack = [root]
-            seen[root] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v, _ in self.adjacency[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components of the non-isolated vertices, each sorted,
+        in order of their lowest vertex."""
+        comps: list[list[int]] = []
+        for v, parent in _graph_forest(self):
+            if parent is None:
+                comps.append([])
+            comps[-1].append(v)
+        return [sorted(comp) for comp in comps]
 
     def induced_subgraph(self, vertices: Sequence[int]) -> "WeightedGraph":
         """Subgraph on the given vertices, relabelled 0..len(vertices)-1."""
@@ -251,9 +239,7 @@ def parse_edge_line(parts: Sequence[str], lineno: int, n: int) -> WeightedEdge:
 def serialize_edge_list(stream: EdgeStream) -> str:
     """Canonical text form: header, then edges in arrival order."""
     lines = [f"n {stream.n}"]
-    for e in stream.edges:
-        w = str(e.w.numerator) if e.w.denominator == 1 else f"{e.w.numerator}/{e.w.denominator}"
-        lines.append(f"{e.u} {e.v} {w}")
+    lines.extend(f"{e.u} {e.v} {e.w}" for e in stream.edges)
     return "\n".join(lines) + "\n"
 
 
@@ -309,8 +295,42 @@ def heaviest_edge_decomposition(g: WeightedGraph) -> HeaviestEdgeDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# DFS decomposition
+# DFS forest and what is read from it
 # ---------------------------------------------------------------------------
+
+
+def dfs_forest(neighbors: Sequence[Sequence[int]]) -> list[tuple[int, Optional[int]]]:
+    """Depth-first spanning forest as (vertex, parent) pairs in discovery order.
+
+    Each component is rooted at its lowest vertex (parent None), a vertex's
+    children are visited in the order its neighbour list gives, and vertices
+    without neighbours are left out. As in every undirected DFS forest, each
+    edge outside the forest joins a vertex to one of its ancestors.
+    """
+    seen = [False] * len(neighbors)
+    order: list[tuple[int, Optional[int]]] = []
+    for root in range(len(neighbors)):
+        if seen[root] or not neighbors[root]:
+            continue
+        seen[root] = True
+        order.append((root, None))
+        stack = [(root, iter(neighbors[root]))]
+        while stack:
+            u, rest = stack[-1]
+            for v in rest:
+                if not seen[v]:
+                    seen[v] = True
+                    order.append((v, u))
+                    stack.append((v, iter(neighbors[v])))
+                    break
+            else:
+                stack.pop()
+    return order
+
+
+def _graph_forest(g: WeightedGraph) -> list[tuple[int, Optional[int]]]:
+    """dfs_forest of g with neighbours visited in ascending vertex id."""
+    return dfs_forest([sorted([v for v, _ in adj]) for adj in g.adjacency])
 
 
 @dataclass(frozen=True)
@@ -334,59 +354,38 @@ class DfsDecomposition:
 
 
 def dfs_decomposition(g: WeightedGraph) -> DfsDecomposition:
-    """DFS forest rooted at each component's lowest vertex id.
+    """The DFS forest of g (see dfs_forest) with ascending child order, so
+    it and everything derived from it are deterministic.
 
-    Children are visited in ascending vertex id, making the forest (and
-    everything derived from it) deterministic.
+    Tree edges keep discovery order and level k lists, in that order, the
+    tree edges whose parent has depth k. Every non-tree edge joins an
+    ancestor to a descendant at least two levels down, which is why no
+    non-tree edge joins two vertices of one level's stars.
     """
     parent: list[Optional[int]] = [None] * g.n
     depth = [-1] * g.n
     component = [-1] * g.n
     roots: list[int] = []
     tree_edges: list[tuple[int, int]] = []
-    neighbors = [sorted(v for v, _ in adj) for adj in g.adjacency]
-    comp_id = 0
-    for root in range(g.n):
-        if depth[root] >= 0 or not g.adjacency[root]:
+    levels: list[list[tuple[int, int]]] = []
+    for v, p in _graph_forest(g):
+        if p is None:
+            roots.append(v)
+            depth[v], component[v] = 0, len(roots) - 1
             continue
-        roots.append(root)
-        depth[root] = 0
-        component[root] = comp_id
-        # Iterative DFS; the per-vertex cursor preserves ascending child order.
-        stack = [(root, 0)]
-        while stack:
-            u, cursor = stack.pop()
-            advanced = False
-            for i in range(cursor, len(neighbors[u])):
-                v = neighbors[u][i]
-                if depth[v] < 0:
-                    stack.append((u, i + 1))
-                    parent[v] = u
-                    depth[v] = depth[u] + 1
-                    component[v] = comp_id
-                    tree_edges.append((u, v))
-                    stack.append((v, 0))
-                    advanced = True
-                    break
-            if advanced:
-                continue
-        comp_id += 1
+        parent[v], depth[v], component[v] = p, depth[p] + 1, component[p]
+        tree_edges.append((p, v))
+        if depth[p] == len(levels):
+            levels.append([])
+        levels[depth[p]].append((p, v))
 
-    tree_pairs = {tuple(sorted(e)) for e in tree_edges}
-    non_tree = tuple(e.pair for e in g.edges if e.pair not in tree_pairs)
-
-    max_depth = max((d for d in depth if d >= 0), default=-1)
-    levels: list[tuple[tuple[int, int], ...]] = []
-    stars: list[tuple[tuple[int, tuple[int, ...]], ...]] = []
-    for k in range(max_depth):
-        level = tuple(e for e in tree_edges if depth[e[0]] == k)
+    non_tree = tuple(e.pair for e in g.edges if parent[e.u] != e.v and parent[e.v] != e.u)
+    stars = []
+    for level in levels:
         centers: dict[int, list[int]] = {}
         for p, c in level:
             centers.setdefault(p, []).append(c)
-        levels.append(level)
-        stars.append(
-            tuple((center, tuple(sorted(leaves))) for center, leaves in sorted(centers.items()))
-        )
+        stars.append(tuple((center, tuple(sorted(leaves))) for center, leaves in sorted(centers.items())))
     return DfsDecomposition(
         tuple(parent),
         tuple(depth),
@@ -394,7 +393,7 @@ def dfs_decomposition(g: WeightedGraph) -> DfsDecomposition:
         tuple(roots),
         tuple(tree_edges),
         non_tree,
-        tuple(levels),
+        tuple(tuple(level) for level in levels),
         tuple(stars),
     )
 
@@ -413,11 +412,6 @@ def level_separation_violations(dec: DfsDecomposition) -> list[tuple[int, tuple[
     return out
 
 
-# ---------------------------------------------------------------------------
-# Bipartiteness
-# ---------------------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class BipartiteWitness:
     bipartite: bool
@@ -426,39 +420,22 @@ class BipartiteWitness:
 
 
 def is_bipartite(g: WeightedGraph) -> BipartiteWitness:
-    """2-colorability with a verifiable witness either way."""
-    color = [-1] * g.n
-    parent: list[Optional[int]] = [None] * g.n
-    for root in range(g.n):
-        if color[root] >= 0:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            for v, _ in g.adjacency[u]:
-                if color[v] < 0:
-                    color[v] = 1 - color[u]
-                    parent[v] = u
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return BipartiteWitness(False, None, _odd_cycle(parent, u, v))
-    return BipartiteWitness(True, tuple(color), None)
+    """2-colorability with a verifiable witness either way.
 
-
-def _odd_cycle(parent: Sequence[Optional[int]], u: int, v: int) -> tuple[int, ...]:
-    anc_u = _ancestors(parent, u)
-    anc_v = _ancestors(parent, v)
-    common = next(x for x in anc_u if x in set(anc_v))
-    path_u = anc_u[: anc_u.index(common) + 1]
-    path_v = anc_v[: anc_v.index(common) + 1]
-    cycle = path_u + path_v[::-1][1:]
-    assert len(cycle) % 2 == 1
-    return tuple(cycle)
-
-
-def _ancestors(parent: Sequence[Optional[int]], u: int) -> list[int]:
-    out = [u]
-    while parent[out[-1]] is not None:
-        out.append(parent[out[-1]])
-    return out
+    A vertex's colour is the parity of its depth in dfs_decomposition's
+    forest (0 for isolated vertices). Tree edges join opposite colours, so
+    an edge whose ends share a colour is a back edge spanning an even
+    number of levels: the tree path from its deeper end up to the other end
+    closes an odd cycle. Otherwise the colouring is proper, and it is the
+    unique one that gives each component's lowest vertex colour 0.
+    """
+    dec = dfs_decomposition(g)
+    color = tuple(max(d, 0) % 2 for d in dec.depth)
+    clash = next(((u, v) for u, v in dec.non_tree_edges if color[u] == color[v]), None)
+    if clash is None:
+        return BipartiteWitness(True, color, None)
+    top, bottom = sorted(clash, key=dec.depth.__getitem__)
+    cycle = [bottom]
+    while cycle[-1] != top:
+        cycle.append(dec.parent[cycle[-1]])
+    return BipartiteWitness(False, None, tuple(cycle))

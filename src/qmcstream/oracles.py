@@ -355,27 +355,22 @@ def constructive_energies(g: WeightedGraph) -> ConstructiveEnergies:
 
 def _dfs_level_value(g: WeightedGraph, m: Fraction) -> Fraction:
     dec = dfs_decomposition(g)
+    # (component, depth parity) -> [leaves, centres] over that parity's stars
+    counts: dict[tuple[int, int], list[int]] = {}
+    for k, level_stars in enumerate(dec.stars):
+        for center, leaves in level_stars:
+            c = counts.setdefault((dec.component[center], k % 2), [0, 0])
+            c[0] += len(leaves)
+            c[1] += 1
+    # Per component, the parity with more star edges; a star with d leaves
+    # is worth (d+1)/2, so the chosen stars give (leaves + centres)/2.
     star_sum = Fraction(0)
     chosen_edges = 0
-    n_comps = max(dec.component) + 1 if any(c >= 0 for c in dec.component) else 0
-    for ci in range(n_comps):
-        even_count = odd_count = 0
-        for k, level in enumerate(dec.levels):
-            count = sum(1 for p, _ in level if dec.component[p] == ci)
-            if k % 2 == 0:
-                even_count += count
-            else:
-                odd_count += count
-        pick_even = even_count >= odd_count
-        for k, level_stars in enumerate(dec.stars):
-            if (k % 2 == 0) != pick_even:
-                continue
-            for center, leaves in level_stars:
-                if dec.component[center] != ci:
-                    continue
-                d = len(leaves)
-                star_sum += Fraction(d + 1, 2)
-                chosen_edges += d
+    for ci in range(len(dec.roots)):
+        even, odd = counts[ci, 0], counts.get((ci, 1), [0, 0])
+        leaves, centres = even if even[0] >= odd[0] else odd
+        star_sum += Fraction(leaves + centres, 2)
+        chosen_edges += leaves
     return star_sum + (m - chosen_edges) / 4
 
 

@@ -26,7 +26,7 @@ def random_graph(rng, n, p=0.4, weights=(1,)):
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < p:
-                w = Fraction(int(weights[int(rng.integers(0, len(weights)))]))
+                w = Fraction(weights[int(rng.integers(0, len(weights)))])
                 edges.append(WeightedEdge(u, v, w))
     return WeightedGraph(n, edges)
 
@@ -39,11 +39,11 @@ def random_connected_graph(rng, n, extra_p=0.3, weights=(1,)):
         u = order[i]
         v = order[int(rng.integers(0, i))]
         pair = (min(u, v), max(u, v))
-        edges[pair] = Fraction(int(weights[int(rng.integers(0, len(weights)))]))
+        edges[pair] = Fraction(weights[int(rng.integers(0, len(weights)))])
     for u in range(n):
         for v in range(u + 1, n):
             if (u, v) not in edges and rng.random() < extra_p:
-                edges[(u, v)] = Fraction(int(weights[int(rng.integers(0, len(weights)))]))
+                edges[(u, v)] = Fraction(weights[int(rng.integers(0, len(weights)))])
     return WeightedGraph(n, [WeightedEdge(u, v, w) for (u, v), w in sorted(edges.items())])
 
 
@@ -52,7 +52,7 @@ def random_stream(rng, n, max_edges, weights=(1,)):
     rng.shuffle(pairs)
     k = int(rng.integers(1, min(max_edges, len(pairs)) + 1))
     edges = tuple(
-        WeightedEdge(u, v, Fraction(int(weights[int(rng.integers(0, len(weights)))])))
+        WeightedEdge(u, v, Fraction(weights[int(rng.integers(0, len(weights)))]))
         for u, v in pairs[:k]
     )
     return EdgeStream(n, edges)

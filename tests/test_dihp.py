@@ -78,6 +78,8 @@ class TestSerialization:
             ("dihp 6 2 1 no\n0:1 2:6\n10\n", "outside vertices 0..5"),
             ("dihp 6 2 1 no\n0:1 2:3\n12\n", "must be 0 or 1"),
             ("dihp 6 2 2 yes\n0:1 2:3\n10\n0:1 4:5\n01\n", "not consistent"),
+            # Each pair appears once; the conflict is only around the cycle.
+            ("dihp 3 1 3 yes\n0:1\n1\n1:2\n1\n0:2\n1\n", "not consistent"),
             ("dihp 4 1 1 no\n0:1\x0c1\n", "need 1 matchings and 1 label rows"),
         ],
     )
@@ -117,6 +119,10 @@ class TestReduction:
         )
         assert dihp.reduce_to_stream(inst).edges == ()
 
+    def test_reversed_pair_of_earlier_player_is_dropped(self):
+        inst = dihp.parse_instance("dihp 4 1 2 no\n1:0\n1\n0:1\n1\n")
+        assert [(e.u, e.v) for e in dihp.reduce_to_stream(inst).edges] == [(1, 0)]
+
     def test_stream_is_duplicate_free(self):
         for i in range(50):
             inst = dihp.sample_instance(18, 4, 6, "no", seed=30_000 + i)
@@ -150,6 +156,12 @@ class TestProtocolHarness:
         inst = dihp.DihpInstance(4, 1, 1, (((0, 1),),), ((0,),), "no", None)
         tr = dihp.run_protocol(inst, dihp.ConstantAlgorithm(0.0), "mc", 0.5)
         assert tr.m == 0 and tr.decision == "yes"
+
+    def test_reversed_pair_is_fed(self):
+        inst = dihp.parse_instance("dihp 4 1 1 no\n1:0\n1\n")
+        tr = dihp.run_protocol(inst, dihp.ExactOracleAlgorithm(4, "mc"), "mc", 0.5)
+        assert tr.m == 1 and tr.reported_value == 1.0
+        assert tr.handoff_words == (4,)
 
     def test_handoff_words_counted_per_player(self):
         inst = dihp.sample_instance(16, 4, 4, "no", seed=2)

@@ -192,24 +192,32 @@ class TestHypercontractivity:
 
     def test_delta_zero_is_average_norm(self):
         tab = self._density_table(0)
-        rec = fr.hypercontractivity_sums(tab, 0.0)
+        (rec,) = fr.hypercontractivity_sums(tab, [0.0])
         mean = np.mean(tab.values, axis=0)
         assert rec.lhs == pytest.approx(la.trace_norm(mean) ** 2, abs=1e-12)
         assert rec.lhs <= 1 + 1e-12
 
     def test_delta_one_bound(self):
-        rec = fr.hypercontractivity_sums(self._density_table(1), 1.0)
+        (rec,) = fr.hypercontractivity_sums(self._density_table(1), [1.0])
         assert rec.bound == pytest.approx(16.0)
         assert rec.lhs <= rec.bound + 1e-9
 
     def test_level_sums_partition_total(self):
-        rec = fr.hypercontractivity_sums(self._density_table(2), 1.0)
+        (rec,) = fr.hypercontractivity_sums(self._density_table(2), [1.0])
         assert sum(rec.level_square_sums) == pytest.approx(rec.lhs, abs=1e-9)
+
+    def test_one_record_per_delta(self):
+        tab = self._density_table(3)
+        deltas = (0.0, 0.25, 0.5, 1.0)
+        records = fr.hypercontractivity_sums(tab, deltas)
+        assert [r.delta for r in records] == list(deltas)
+        for rec in records:
+            assert fr.hypercontractivity_sums(tab, [rec.delta]) == [rec]
 
     def test_precondition_enforced(self):
         tab = fr.BooleanTable(2, "matrix", np.array([np.eye(2, dtype=complex) * 3] * 4))
         with pytest.raises(ValueError, match="trace norm"):
-            fr.hypercontractivity_sums(tab, 0.5)
+            fr.hypercontractivity_sums(tab, [0.5])
 
 
 class TestVerificationSuite:

@@ -3,13 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fresh_rng, random_graph
+import itertools
+
+from conftest import fresh_rng, random_connected_graph, random_graph, random_stream
 from qmcstream.graph import (
     EdgeStream,
     GraphParseError,
     WeightedEdge,
     WeightedGraph,
     dfs_decomposition,
+    dfs_forest,
     heaviest_edge_decomposition,
     is_bipartite,
     level_separation_violations,
@@ -171,6 +174,87 @@ def _is_forest(n, edges):
     return True
 
 
+def _all_graphs(max_n):
+    """Every labeled simple graph on 1..max_n vertices, unit weights."""
+    for n in range(1, max_n + 1):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            yield WeightedGraph(n, [E(u, v) for i, (u, v) in enumerate(pairs) if (mask >> i) & 1])
+
+
+class TestDfsForest:
+    @staticmethod
+    def assert_non_tree_edges_join_ancestors(g, neighbors):
+        forest = dfs_forest(neighbors)
+        parent = dict(forest)
+        assert len(parent) == len(forest)  # each vertex discovered once
+        assert set(parent) == set(g.non_isolated())
+
+        def ancestors(v):
+            out = set()
+            while parent[v] is not None:
+                v = parent[v]
+                out.add(v)
+            return out
+
+        for e in g.edges:
+            assert e.u in ancestors(e.v) or e.v in ancestors(e.u), (g.edges, e)
+
+    def test_non_tree_edges_join_ancestors_random(self):
+        for i in range(400):
+            rng = fresh_rng(27, i)
+            n = int(rng.integers(1, 30))
+            g = random_graph(rng, n, float(rng.choice([1.5 / n, 0.3, 0.8])))
+            self.assert_non_tree_edges_join_ancestors(g, [[v for v, _ in adj] for adj in g.adjacency])
+            shuffled = [list(rng.permutation([v for v, _ in adj])) for adj in g.adjacency]
+            self.assert_non_tree_edges_join_ancestors(g, shuffled)
+
+    def test_non_tree_edges_join_ancestors_exhaustive_small(self):
+        checked = 0
+        for g in _all_graphs(5):
+            self.assert_non_tree_edges_join_ancestors(g, [[v for v, _ in adj] for adj in g.adjacency])
+            checked += 1
+        assert checked == 1 + 2 + 8 + 64 + 1024
+
+    def test_roots_and_child_order(self):
+        # Vertex 3 is isolated; children follow the order the lists give.
+        neighbors = [[4, 1], [0, 4], [5], [], [1, 0], [2]]
+        assert dfs_forest(neighbors) == [(0, None), (4, 0), (1, 4), (2, None), (5, 2)]
+
+
+class TestComponents:
+    def test_isolated_vertices_are_left_out(self):
+        g = graph(8, (6, 2, 1), (2, 5, 1), (7, 3, 1), (0, 3, 1))
+        assert g.components() == [[0, 3, 7], [2, 5, 6]]
+
+    def test_matches_union_find(self):
+        for i in range(300):
+            rng = fresh_rng(28, i)
+            n = int(rng.integers(1, 26))
+            g = random_graph(rng, n, 1.2 / n)
+            root = list(range(n))
+
+            def find(u):
+                while root[u] != u:
+                    u = root[u]
+                return u
+
+            for e in g.edges:
+                root[find(e.u)] = find(e.v)
+            groups = {}
+            for u in g.non_isolated():
+                groups.setdefault(find(u), []).append(u)
+            assert g.components() == sorted(groups.values())
+
+
+def test_random_builders_keep_fractional_weights():
+    rng = fresh_rng(29)
+    w = Fraction(5, 2)
+    for g in (random_graph(rng, 5, 1.0, weights=(w,)), random_connected_graph(rng, 5, weights=(w,))):
+        assert {e.w for e in g.edges} == {w}
+    assert {e.w for e in random_stream(rng, 5, 4, weights=(w,)).edges} == {w}
+
+
 class TestDfsDecomposition:
     def test_path_levels(self):
         dec = dfs_decomposition(graph(3, (0, 1, 1), (1, 2, 1)))
@@ -216,8 +300,6 @@ class TestDfsDecomposition:
     def test_level_separation_exhaustive_small(self):
         # Every labeled connected graph on up to 6 vertices (DFS structure
         # depends on labels, so isomorphism reduction would not be exhaustive).
-        import itertools
-
         checked = 0
         for n in range(2, 7):
             pairs = list(itertools.combinations(range(n), 2))
