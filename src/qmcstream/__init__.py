@@ -12,17 +12,13 @@ from .graph import (
     max_incident_sum,
     parse_edge_list,
     read_edge_list,
-    serialize_edge_list,
     total_weight,
 )
 from .oracles import (
     constructive_energies,
     max_cut_bruteforce,
-    qmc_apply,
     qmc_bounds,
     qmc_exact,
-    star_optimal_state,
-    strip_odd_local,
 )
 from .estimator import (
     EstimatorBank,
@@ -33,7 +29,7 @@ from .estimator import (
     expectation_oracle,
     finalize_sample,
 )
-from .relaxation import sdp_objective, solve_vector_program
+from .relaxation import solve_vector_program
 from .dihp import (
     DihpInstance,
     reduce_to_stream,
@@ -45,10 +41,8 @@ from .fourier import (
     BooleanTable,
     FourierTable,
     ToyProtocol,
-    channel_fourier,
     constraint_indicator_coeffs,
     hypercontractivity_sums,
-    inverse_transform,
     phibound_experiment,
     protocol_states,
     transform,

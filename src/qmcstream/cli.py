@@ -137,15 +137,16 @@ def cmd_exact(args, out: TextIO) -> int:
     g = _read_graph(args.input)
     compute = set(args.compute.split(",")) if args.compute else {
         "maxcut", "qmc", "bounds", "constructive"}
+    m, w = total_weight(g), max_incident_sum(g)
     report: dict = {
         "schema": 1,
         "command": "exact",
         "seed": args.seed,
         "n": g.n,
-        "m": float(total_weight(g)),
-        "m_exact": str(total_weight(g)),
-        "W": float(max_incident_sum(g)),
-        "W_exact": str(max_incident_sum(g)),
+        "m": float(m),
+        "m_exact": str(m),
+        "W": float(w),
+        "W_exact": str(w),
         "tolerances": TOLERANCES,
     }
     if "maxcut" in compute:

@@ -57,15 +57,18 @@ class DihpInstance:
                     raise ValueError("matching edges must be pairwise non-incident")
                 used.update((u, v))
         if self.truth == YES:
-            if self.hidden_partition is None:
-                # Not part of the wire format: recover it from the labels.
+            x = self.hidden_partition
+            if x is None:
+                # Not part of the wire format: recover it from the labels,
+                # which checks every label.
                 partition = _recover_partition(self.n, self.matchings, self.labels)
                 object.__setattr__(self, "hidden_partition", partition)
-            x = self.hidden_partition
-            for matching, bits in zip(self.matchings, self.labels):
-                for (u, v), b in zip(matching, bits):
-                    if b != (x[u] ^ x[v]):
-                        raise ValueError("labels inconsistent with hidden partition")
+            elif any(
+                b != x[u] ^ x[v]
+                for matching, bits in zip(self.matchings, self.labels)
+                for (u, v), b in zip(matching, bits)
+            ):
+                raise ValueError("labels inconsistent with hidden partition")
 
 
 def sample_partial_matching(rng: np.random.Generator, n: int, k: int) -> tuple[tuple[int, int], ...]:
@@ -201,20 +204,6 @@ class ExactOracleAlgorithm:
 
     def word_count(self) -> int:
         return 3 * len(self._edges)
-
-
-class ConstantAlgorithm:
-    def __init__(self, value: float):
-        self.value = value
-
-    def update(self, e: WeightedEdge) -> None:
-        pass
-
-    def result(self) -> float:
-        return self.value
-
-    def word_count(self) -> int:
-        return 1
 
 
 @dataclass(frozen=True)

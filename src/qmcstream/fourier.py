@@ -73,16 +73,6 @@ def transform(table: BooleanTable) -> FourierTable:
     return FourierTable(table.n, table.kind, _wht(table.values) / (1 << table.n))
 
 
-def inverse_transform(ft: FourierTable) -> BooleanTable:
-    """f(x) = sum_S hat f(S) (-1)^{x.S}: the transform scaled back by 2^n."""
-    return BooleanTable(ft.n, ft.kind, _wht(ft.coeffs))
-
-
-def tabulate(n: int, kind: str, fn: Callable[[int], np.ndarray]) -> BooleanTable:
-    values = np.array([fn(x) for x in range(1 << n)])
-    return BooleanTable(n, kind, values)
-
-
 def convolve(f: FourierTable, g: FourierTable) -> np.ndarray:
     """(hat f * hat g)(S) = sum_T hat f(T) hat g(T xor S), order preserving."""
     size = 1 << f.n
@@ -180,14 +170,6 @@ def row_space_masks(m_rows: Sequence[int]) -> set[int]:
 def channel_family_table(n: int, channels: Callable[[int], Superoperator]) -> BooleanTable:
     values = np.array([channels(x).matrix for x in range(1 << n)])
     return BooleanTable(n, "superoperator", values)
-
-
-def channel_fourier(family: BooleanTable) -> FourierTable:
-    """Entrywise transform of a superoperator family; coefficients are
-    ordinary linear maps, not channels."""
-    if family.kind != "superoperator":
-        raise ValueError("channel_fourier expects a superoperator table")
-    return transform(family)
 
 
 def support_defect(ft: FourierTable, allowed_masks: set[int]) -> float:

@@ -95,9 +95,6 @@ class WeightedGraph:
     def from_stream(cls, stream: EdgeStream) -> "WeightedGraph":
         return cls(stream.n, stream.edges)
 
-    def to_stream(self) -> EdgeStream:
-        return EdgeStream(self.n, self.edges)
-
     @property
     def m_edges(self) -> int:
         return len(self.edges)
@@ -234,13 +231,6 @@ def parse_edge_line(parts: Sequence[str], lineno: int, n: int) -> WeightedEdge:
         return WeightedEdge(u, v, w)
     except ValueError as exc:  # self-loop or nonpositive weight
         raise GraphParseError(f"line {lineno}: {exc}")
-
-
-def serialize_edge_list(stream: EdgeStream) -> str:
-    """Canonical text form: header, then edges in arrival order."""
-    lines = [f"n {stream.n}"]
-    lines.extend(f"{e.u} {e.v} {e.w}" for e in stream.edges)
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -396,20 +386,6 @@ def dfs_decomposition(g: WeightedGraph) -> DfsDecomposition:
         tuple(tuple(level) for level in levels),
         tuple(stars),
     )
-
-
-def level_separation_violations(dec: DfsDecomposition) -> list[tuple[int, tuple[int, int]]]:
-    """Non-tree edges whose endpoints both touch the same level (should be none)."""
-    out = []
-    for k, level in enumerate(dec.levels):
-        touched = set()
-        for p, c in level:
-            touched.add(p)
-            touched.add(c)
-        for u, v in dec.non_tree_edges:
-            if u in touched and v in touched:
-                out.append((k, (u, v)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,11 @@
-"""Dense complex linear algebra for few-qubit states, observables, and channels.
+"""Dense complex linear algebra for few-qubit states and channels.
 
-Conventions: qubit 0 is the leftmost tensor factor (most significant bit of a
-basis index), matching ``np.kron`` order; density matrices are vectorized
-row-major, so a channel with Kraus operators ``K_i`` has superoperator matrix
-``sum_i K_i (x) conj(K_i)``.
+Density matrices are vectorized row-major, so a channel with Kraus operators
+``K_i`` has superoperator matrix ``sum_i K_i (x) conj(K_i)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
@@ -16,31 +13,10 @@ import numpy as np
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-10
 TRACE_TOL = 1e-12
-EIGH_DIM_CAP = 1024
-
-PAULI_I = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = np.stack([PAULI_I, PAULI_X, PAULI_Y, PAULI_Z])
-PAULI_LABELS = "IXYZ"
 
 
 def hermitian_defect(a: np.ndarray) -> float:
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
-def hermitian_eigendecomposition(a: np.ndarray, tol: float = 1e-10):
-    """Eigenvalues (ascending) and orthonormal eigenvector columns of a Hermitian matrix."""
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if a.shape[0] > EIGH_DIM_CAP:
-        raise ValueError(f"dense eigendecomposition capped at dim {EIGH_DIM_CAP}")
-    if hermitian_defect(a) > tol * max(1.0, float(np.max(np.abs(a))) if a.size else 1.0):
-        raise ValueError("matrix is not Hermitian within tolerance")
-    vals, vecs = np.linalg.eigh(a)
-    return vals, vecs
 
 
 def trace_norm(a: np.ndarray):
@@ -65,105 +41,11 @@ def schatten_norm(a: np.ndarray, p: float):
     return float(norms) if a.ndim == 2 else norms
 
 
-# ---------------------------------------------------------------------------
-# Pauli decomposition
-# ---------------------------------------------------------------------------
-
-PAULI_QUBIT_CAP = 7
-
-# PT[p, y, x] = sigma_p[x, y]; used by the tensor-network style transforms.
-_PT = PAULIS.transpose(0, 2, 1).copy()
-
-
 def _qubit_count(dim: int) -> int:
     n = dim.bit_length() - 1
     if dim <= 0 or (1 << n) != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
-
-
-def pauli_label(index: int, n: int) -> str:
-    digits = []
-    for _ in range(n):
-        digits.append(PAULI_LABELS[index % 4])
-        index //= 4
-    return "".join(reversed(digits))
-
-
-def pauli_index(label: str) -> int:
-    index = 0
-    for ch in label:
-        index = index * 4 + PAULI_LABELS.index(ch)
-    return index
-
-
-@dataclass(frozen=True)
-class PauliDecomposition:
-    """Coefficients of an operator in the Pauli term basis.
-
-    Index order: base-4 digits of the term index are the per-qubit Paulis,
-    qubit 0 most significant, so ``coeffs[pauli_index("XZ")]`` is the XZ
-    coefficient on two qubits.
-    """
-
-    n: int
-    coeffs: np.ndarray  # (4**n,) complex
-
-    def coefficient(self, label: str) -> complex:
-        if len(label) != self.n:
-            raise ValueError(f"label {label!r} has wrong length for n={self.n}")
-        return complex(self.coeffs[pauli_index(label)])
-
-    def locality(self) -> np.ndarray:
-        """Number of non-identity factors per term index."""
-        idx = np.arange(4**self.n)
-        out = np.zeros(4**self.n, dtype=np.int64)
-        for _ in range(self.n):
-            out += (idx % 4) != 0
-            idx //= 4
-        return out
-
-    def max_real_defect(self) -> float:
-        return float(np.max(np.abs(self.coeffs.imag))) if self.coeffs.size else 0.0
-
-    def items(self, tol: float = 1e-12):
-        for i in np.nonzero(np.abs(self.coeffs) > tol)[0]:
-            yield pauli_label(int(i), self.n), complex(self.coeffs[i])
-
-
-def pauli_decompose(a: np.ndarray) -> PauliDecomposition:
-    """coeff(P) = tr(P A) / 2^n for every n-qubit Pauli term P."""
-    a = np.asarray(a, dtype=complex)
-    n = _qubit_count(a.shape[0])
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("matrix must be square")
-    if n > PAULI_QUBIT_CAP:
-        raise ValueError(f"pauli_decompose capped at {PAULI_QUBIT_CAP} qubits")
-    # Interleave row/column axes as (y_0, x_0, y_1, x_1, ...) then contract
-    # one qubit at a time against PT[p, y, x] = sigma_p[x, y].
-    t = a.reshape((2,) * (2 * n))
-    perm = [ax for k in range(n) for ax in (k, n + k)]
-    t = t.transpose(perm)
-    for j in range(n):
-        t = np.tensordot(_PT, t, axes=([1, 2], [j, j + 1]))
-    # Axes are now (p_{n-1}, ..., p_0); flatten with qubit 0 most significant.
-    t = t.transpose(tuple(reversed(range(n))))
-    return PauliDecomposition(n, t.reshape(4**n) / (2**n))
-
-
-def pauli_reconstruct(dec: PauliDecomposition) -> np.ndarray:
-    """Inverse of :func:`pauli_decompose`."""
-    n = dec.n
-    c = dec.coeffs.reshape((4,) * n) if n else dec.coeffs.reshape(())
-    if n == 0:
-        return np.array([[complex(dec.coeffs[0])]])
-    t = c
-    for j in range(n):
-        t = np.tensordot(PAULIS, t, axes=([0], [2 * j]))
-    # Axes are (y_{n-1}, x_{n-1}, ..., y_0, x_0); sort to rows then columns.
-    perm = [2 * (n - 1 - k) for k in range(n)] + [2 * (n - 1 - k) + 1 for k in range(n)]
-    t = t.transpose(perm)
-    return t.reshape(2**n, 2**n)
 
 
 # ---------------------------------------------------------------------------
@@ -186,35 +68,6 @@ class DensityMatrix:
         if abs(complex(np.trace(m)) - 1) > TRACE_TOL:
             raise ValueError("density matrix trace differs from 1 by more than 1e-12")
         self.matrix = m
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def qubits(self) -> int:
-        return _qubit_count(self.dim)
-
-    @classmethod
-    def pure(cls, state: np.ndarray) -> "DensityMatrix":
-        v = np.asarray(state, dtype=complex)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()))
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim)
-
-    def tensor(self, other: "DensityMatrix") -> "DensityMatrix":
-        return DensityMatrix(np.kron(self.matrix, other.matrix))
-
-
-def singlet_density() -> DensityMatrix:
-    """The maximally entangled two-qubit state (|01> - |10>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1 / np.sqrt(2)
-    v[2] = -1 / np.sqrt(2)
-    return DensityMatrix.pure(v)
 
 
 class Superoperator:
@@ -245,10 +98,6 @@ class Superoperator:
             if tp > TRACE_TOL:
                 raise ValueError(f"not trace preserving: defect {tp:.3e}")
 
-    @property
-    def qubits(self) -> int:
-        return _qubit_count(self.dim)
-
     @classmethod
     def from_kraus(cls, kraus: Iterable[np.ndarray], is_channel: bool = True) -> "Superoperator":
         ops = [np.asarray(k, dtype=complex) for k in kraus]
@@ -275,13 +124,6 @@ class Superoperator:
                 units[i * dim + j][i, j] = 1 / np.sqrt(dim)
         return cls.from_kraus(units)
 
-    @classmethod
-    def measure_z(cls) -> "Superoperator":
-        """Single-qubit computational-basis measurement (dephasing)."""
-        p0 = np.diag([1.0, 0.0]).astype(complex)
-        p1 = np.diag([0.0, 1.0]).astype(complex)
-        return cls.from_kraus([p0, p1])
-
     def apply_matrix(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=complex)
         if a.shape != (self.dim, self.dim):
@@ -303,24 +145,9 @@ class Superoperator:
         return float(np.max(np.abs(partial - np.eye(d))))
 
 
-def apply_superoperator(s: Superoperator, rho: DensityMatrix) -> DensityMatrix:
-    """vec(rho') = S vec(rho); output is re-validated when s is a channel."""
-    out = s.apply_matrix(rho.matrix)
-    if s.is_channel:
-        return DensityMatrix(out)
-    d = DensityMatrix.__new__(DensityMatrix)
-    d.matrix = out
-    return d
-
-
 # ---------------------------------------------------------------------------
 # Random instances (tests and verification suites)
 # ---------------------------------------------------------------------------
-
-
-def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
 
 
 def random_density(rng: np.random.Generator, dim: int, rank: Optional[int] = None) -> DensityMatrix:
@@ -328,10 +155,6 @@ def random_density(rng: np.random.Generator, dim: int, rank: Optional[int] = Non
     g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho))
-
-def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (g + g.conj().T) / 2
 
 
 def random_matrix(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -15,21 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .fourier import popcounts
 from .graph import (
     InfeasibleSizeError,
-    WeightedEdge,
     WeightedGraph,
     dfs_decomposition,
     heaviest_edge_decomposition,
     max_incident_sum,
     total_weight,
 )
-from .linalg import pauli_decompose, pauli_reconstruct, DensityMatrix
 from .rng import substream
 
 MAXCUT_COMPONENT_CAP = 24
@@ -43,10 +41,6 @@ QMC_RESIDUAL_TOL = 1e-9  # certified residual, relative to max(total weight, 1)
 class CutAssignment:
     sides: tuple[int, ...]
     value: Fraction
-
-
-def cut_value(g: WeightedGraph, sides: Sequence[int]) -> Fraction:
-    return sum((e.w for e in g.edges if sides[e.u] != sides[e.v]), Fraction(0))
 
 
 def _weights_as_ints(weights: list[Fraction]) -> tuple[list[int], int]:
@@ -165,18 +159,6 @@ class QmcOperator:
             out[differ] += (w / 2) * (psi[differ] - psi[swapped])
         return out
 
-    def rayleigh(self, psi: np.ndarray) -> float:
-        return float(np.real(np.vdot(psi, self.apply(psi))) / np.real(np.vdot(psi, psi)))
-
-
-def qmc_apply(g: WeightedGraph, psi: np.ndarray) -> np.ndarray:
-    """Unnormalized image Q psi over the non-isolated qubits of g."""
-    op = QmcOperator(g)
-    psi = np.asarray(psi)
-    if psi.shape != (op.dim,):
-        raise ValueError(f"state has dimension {psi.shape}, expected ({op.dim},)")
-    return op.apply(psi)
-
 
 class QmcConvergenceError(RuntimeError):
     """A Lanczos run ended with its true residual above the target."""
@@ -290,39 +272,6 @@ def qmc_bounds(g: WeightedGraph) -> QmcBounds:
         lower_weighted=m / 5 + w / 10,
         lower_unweighted=(m / 4 + w / 8) if g.is_unit_weighted() else None,
     )
-
-
-def star_optimal_state(d: int) -> tuple[np.ndarray, float]:
-    """Optimal QMC state of the unit star with d leaves, and its energy.
-
-    The state lives in the single-excitation subspace; its coefficients are
-    the top eigenvector (d, -1, ..., -1) of the star Laplacian, and the
-    energy achieved is (d+1)/2. Qubit 0 is the center.
-    """
-    if d < 1:
-        raise ValueError("star degree must be at least 1")
-    coeffs = np.full(d + 1, -1.0)
-    coeffs[0] = d
-    coeffs /= np.linalg.norm(coeffs)
-    psi = np.zeros(1 << (d + 1))
-    for i in range(d + 1):
-        psi[1 << i] = coeffs[i]
-    star = WeightedGraph(d + 1, [WeightedEdge(0, i + 1) for i in range(d)])
-    energy = QmcOperator(star).rayleigh(psi)
-    return psi, energy
-
-
-def strip_odd_local(rho: DensityMatrix) -> DensityMatrix:
-    """Zero out all odd-local Pauli coefficients of a state.
-
-    Equivalent to averaging the state with its odd-local negation; the result
-    is again a valid state and keeps every even-local coefficient, so it
-    preserves two-qubit interaction energies while erasing single-qubit bias.
-    """
-    dec = pauli_decompose(rho.matrix)
-    coeffs = dec.coeffs.copy()
-    coeffs[dec.locality() % 2 == 1] = 0
-    return DensityMatrix(pauli_reconstruct(type(dec)(dec.n, coeffs)))
 
 
 @dataclass(frozen=True)

@@ -33,17 +33,6 @@ class RelaxationResult:
     converged: bool  # upper - best_value <= GAP_TOL * max(m, 1)
 
 
-def sdp_objective(g: WeightedGraph, assignment: np.ndarray) -> float:
-    """sum_e w_e * (-<f(u), f(v)>); equals 2*cut - m on a rank-one cut assignment."""
-    a = np.asarray(assignment, dtype=float)
-    if a.shape[0] != g.n:
-        raise ValueError(f"assignment has {a.shape[0]} rows, graph has {g.n} vertices")
-    norms = np.linalg.norm(a, axis=1)
-    if a.shape[0] and np.max(np.abs(norms - 1)) > 1e-10:
-        raise ValueError("assignment rows must be unit vectors")
-    return float(sum(-float(e.w) * np.dot(a[e.u], a[e.v]) for e in g.edges))
-
-
 def _certificate(w: np.ndarray, x: np.ndarray) -> tuple[float, float]:
     """(value, upper) of unit rows x under weight matrix w.
 

@@ -1,5 +1,7 @@
 """Shared builders for the test suite: random graphs, exhaustive enumeration,
-and dense Hamiltonians built independently of the package's operators."""
+dense Hamiltonians built independently of the package's operators, and the
+tests-only reference checks (cut values, DFS level separation, the vector
+program objective, a constant streaming algorithm)."""
 
 from __future__ import annotations
 
@@ -127,6 +129,47 @@ def max_cut_enumerated(g: WeightedGraph) -> tuple[Fraction, tuple[int, ...]]:
     return value, tuple(sides)
 
 
+def cut_value(g: WeightedGraph, sides) -> Fraction:
+    """Total weight of the edges whose endpoints lie on different sides."""
+    return sum((e.w for e in g.edges if sides[e.u] != sides[e.v]), Fraction(0))
+
+
+def level_separation_violations(dec) -> list[tuple[int, tuple[int, int]]]:
+    """Non-tree edges of a DfsDecomposition whose endpoints both touch the
+    same level's stars (dfs_decomposition promises there are none)."""
+    out = []
+    for k, level in enumerate(dec.levels):
+        touched = {v for edge in level for v in edge}
+        out.extend((k, (u, v)) for u, v in dec.non_tree_edges if u in touched and v in touched)
+    return out
+
+
+def sdp_objective(g: WeightedGraph, assignment) -> float:
+    """sum_e w_e * (-<f(u), f(v)>) over unit rows; 2*cut - m on a cut assignment."""
+    a = np.asarray(assignment, dtype=float)
+    if a.shape[0] != g.n:
+        raise ValueError(f"assignment has {a.shape[0]} rows, graph has {g.n} vertices")
+    if a.shape[0] and np.max(np.abs(np.linalg.norm(a, axis=1) - 1)) > 1e-10:
+        raise ValueError("assignment rows must be unit vectors")
+    return float(sum(-float(e.w) * np.dot(a[e.u], a[e.v]) for e in g.edges))
+
+
+class ConstantAlgorithm:
+    """A streaming algorithm that ignores its stream and reports a fixed value."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def update(self, e: WeightedEdge) -> None:
+        pass
+
+    def result(self) -> float:
+        return self.value
+
+    def word_count(self) -> int:
+        return 1
+
+
 def dense_qmc_hamiltonian(g: WeightedGraph) -> np.ndarray:
     """Q = sum_e w_e (I - XX - YY - ZZ)/4 built by explicit Kronecker products.
 
@@ -150,6 +193,11 @@ def dense_qmc_hamiltonian(g: WeightedGraph) -> np.ndarray:
                 acc = np.kron(acc, PAULI[factors[f]])
             h += sign * float(e.w) / 4 * acc
     return h
+
+
+def random_hermitian(rng, dim):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2
 
 
 def fresh_rng(*path):

@@ -95,7 +95,7 @@ def test_criterion_03_approximation_guarantee():
             n = int(rng.integers(3, 11))
             g = random_connected_graph(rng, n, extra_p=0.3, weights=weights)
             opt = qmc_exact(g, seed=i).value
-            est = estimate_qmc(g.to_stream(), 0.25, 0.05, seed=i)
+            est = estimate_qmc(g.edges, 0.25, 0.05, seed=i)
             if opt - 1e-9 <= est.value <= ratio * opt + 1e-9:
                 hits += 1
         assert hits >= 45

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import ConstantAlgorithm
 from qmcstream import dihp
 from qmcstream.graph import WeightedGraph
 from qmcstream.oracles import max_cut_bruteforce, qmc_exact
@@ -91,6 +92,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="1 matchings and 1 label rows"):
             dihp.DihpInstance(4, 1, 1, (((0, 1),), ((2, 3),)), ((1,), (0,)), "no")
 
+    def test_constructor_checks_supplied_partition(self):
+        # Labels (1, 0) are the parities of (0, 1, 1, 1), not of (0, 0, 1, 1).
+        matching = ((0, 1), (2, 3))
+        dihp.DihpInstance(4, 2, 1, (matching,), ((1, 0),), "yes", (0, 1, 1, 1))
+        with pytest.raises(ValueError, match="inconsistent with hidden partition"):
+            dihp.DihpInstance(4, 2, 1, (matching,), ((1, 0),), "yes", (0, 0, 1, 1))
+
 
 class TestReduction:
     def test_single_player_keeps_label_one_edges(self):
@@ -144,17 +152,17 @@ class TestProtocolHarness:
         inst = dihp.sample_instance(16, 4, 4, "no", seed=1)
         m = len(dihp.reduce_to_stream(inst))
         assert m > 0
-        above = dihp.run_protocol(inst, dihp.ConstantAlgorithm(m / 1.4), "mc", 0.5)
+        above = dihp.run_protocol(inst, ConstantAlgorithm(m / 1.4), "mc", 0.5)
         assert above.decision == "yes" and above.threshold == pytest.approx(m / 1.5)
-        below = dihp.run_protocol(inst, dihp.ConstantAlgorithm(m / 1.6), "mc", 0.5)
+        below = dihp.run_protocol(inst, ConstantAlgorithm(m / 1.6), "mc", 0.5)
         assert below.decision == "no"
-        qmc_mode = dihp.run_protocol(inst, dihp.ConstantAlgorithm(m / 3.5), "qmc", 0.5)
+        qmc_mode = dihp.run_protocol(inst, ConstantAlgorithm(m / 3.5), "qmc", 0.5)
         assert qmc_mode.threshold == pytest.approx(m / 3.5)
         assert qmc_mode.decision == "yes"
 
     def test_empty_stream_decides_yes(self):
         inst = dihp.DihpInstance(4, 1, 1, (((0, 1),),), ((0,),), "no", None)
-        tr = dihp.run_protocol(inst, dihp.ConstantAlgorithm(0.0), "mc", 0.5)
+        tr = dihp.run_protocol(inst, ConstantAlgorithm(0.0), "mc", 0.5)
         assert tr.m == 0 and tr.decision == "yes"
 
     def test_reversed_pair_is_fed(self):

@@ -1,49 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import fresh_rng
+from conftest import PAULI, fresh_rng, random_hermitian
 from qmcstream import linalg as la
-
-
-class TestEigendecomposition:
-    def test_pauli_z(self):
-        vals, vecs = la.hermitian_eigendecomposition(la.PAULI_Z)
-        assert np.allclose(vals, [-1, 1])
-
-    def test_zero_matrix(self):
-        vals, _ = la.hermitian_eigendecomposition(np.zeros((2, 2)))
-        assert np.allclose(vals, [0, 0])
-
-    def test_singlet_projector_spectrum(self):
-        q = la.singlet_density().matrix  # the projector itself is the one-edge term
-        vals, _ = la.hermitian_eigendecomposition(q)
-        assert np.allclose(vals, [0, 0, 0, 1], atol=1e-12)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            la.hermitian_eigendecomposition(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    def test_rejects_oversize(self):
-        with pytest.raises(ValueError, match="capped"):
-            la.hermitian_eigendecomposition(np.eye(2048))
-
-    def test_reconstruction_and_trace(self):
-        for i in range(50):
-            rng = fresh_rng(30, i)
-            dim = int(rng.integers(2, 17))
-            a = la.random_hermitian(rng, dim)
-            vals, vecs = la.hermitian_eigendecomposition(a)
-            scale = max(1.0, float(np.max(np.abs(a))))
-            assert abs(np.sum(vals) - np.trace(a).real) <= 1e-9 * scale
-            recon = vecs @ np.diag(vals) @ vecs.conj().T
-            assert np.max(np.abs(recon - a)) <= 1e-9 * scale
-            assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(dim))) <= 1e-10
 
 
 class TestTraceNorm:
     @pytest.mark.parametrize(
         "m,expect",
-        [(np.eye(2), 2.0), (la.PAULI_X, 2.0), (np.zeros((3, 3)), 0.0)],
+        [(np.eye(2), 2.0), (PAULI["X"], 2.0), (np.zeros((3, 3)), 0.0)],
     )
     def test_known_values(self, m, expect):
         assert la.trace_norm(m) == pytest.approx(expect, abs=1e-12)
@@ -91,59 +56,16 @@ class TestStackedNorms:
             la.trace_norm(np.zeros((4, 2, 3)))
 
 
-class TestPauliDecomposition:
-    def test_projector_zero(self):
-        dec = la.pauli_decompose(np.diag([1.0, 0.0]).astype(complex))
-        assert dec.coefficient("I") == pytest.approx(0.5)
-        assert dec.coefficient("Z") == pytest.approx(0.5)
-        assert dec.coefficient("X") == pytest.approx(0.0)
-
-    def test_singlet_terms(self):
-        dec = la.pauli_decompose(la.singlet_density().matrix)
-        got = {k: v.real for k, v in dec.items()}
-        assert got == pytest.approx({"II": 0.25, "XX": -0.25, "YY": -0.25, "ZZ": -0.25})
-
-    def test_two_qubit_product_term(self):
-        dec = la.pauli_decompose(np.kron(la.PAULI_X, la.PAULI_Z))
-        assert dict(dec.items()) == {"XZ": pytest.approx(1.0)}
-
-    def test_roundtrip_and_reality(self):
-        for i in range(30):
-            rng = fresh_rng(34, i)
-            n = int(rng.integers(1, 5))
-            a = la.random_matrix(rng, 1 << n, 1 << n)
-            dec = la.pauli_decompose(a)
-            assert np.max(np.abs(la.pauli_reconstruct(dec) - a)) <= 1e-10
-            h = la.random_hermitian(rng, 1 << n)
-            assert la.pauli_decompose(h).max_real_defect() <= 1e-12
-
-    def test_locality_grading(self):
-        dec = la.pauli_decompose(np.kron(la.PAULI_X, np.kron(la.PAULI_I, la.PAULI_Y)))
-        loc = dec.locality()
-        assert loc[la.pauli_index("XIY")] == 2
-        assert loc[la.pauli_index("III")] == 0
-        assert loc[la.pauli_index("XYZ")] == 3
-
-    def test_rejects_bad_dimension(self):
-        with pytest.raises(ValueError):
-            la.pauli_decompose(np.eye(3))
-
-
 class TestSuperoperators:
     def test_identity_channel(self):
         rho = la.random_density(fresh_rng(35), 4)
-        out = la.apply_superoperator(la.Superoperator.identity(4), rho)
-        assert np.allclose(out.matrix, rho.matrix)
+        out = la.Superoperator.identity(4).apply_matrix(rho.matrix)
+        assert np.allclose(out, rho.matrix)
 
     def test_depolarizing_sends_to_mixed(self):
         rho = la.random_density(fresh_rng(36), 2)
-        out = la.apply_superoperator(la.Superoperator.depolarizing(2), rho)
-        assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
-
-    def test_measure_z_on_plus(self):
-        plus = la.DensityMatrix.pure(np.array([1, 1]) / np.sqrt(2))
-        out = la.apply_superoperator(la.Superoperator.measure_z(), plus)
-        assert np.allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
+        out = la.Superoperator.depolarizing(2).apply_matrix(rho.matrix)
+        assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -173,7 +95,7 @@ class TestSuperoperators:
             rng = fresh_rng(38, i)
             dim = 2 if i % 2 else 4
             ch = la.random_channel(rng, dim, int(rng.integers(1, 4)))
-            a = la.random_hermitian(rng, dim)
+            a = random_hermitian(rng, dim)
             assert la.trace_norm(ch.apply_matrix(a)) <= la.trace_norm(a) + 1e-9
 
 
@@ -185,10 +107,3 @@ class TestDensityMatrix:
             la.DensityMatrix(np.diag([1.5, -0.5]))
         with pytest.raises(ValueError, match="Hermitian"):
             la.DensityMatrix(np.array([[0.5, 1], [0, 0.5]], dtype=complex))
-
-    def test_tensor(self):
-        a = la.DensityMatrix.pure(np.array([1, 0]))
-        b = la.DensityMatrix.maximally_mixed(2)
-        t = a.tensor(b)
-        assert t.dim == 4
-        assert np.trace(t.matrix) == pytest.approx(1.0)

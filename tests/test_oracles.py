@@ -7,18 +7,20 @@ import pytest
 from conftest import (
     PAULI,
     connected_graphs_iso_free,
+    cut_value,
     dense_qmc_hamiltonian,
     fresh_rng,
     max_cut_enumerated,
     random_connected_graph,
     random_graph,
 )
-from qmcstream import linalg as la
 from qmcstream import oracles as oc
 from qmcstream.graph import (
     InfeasibleSizeError,
     WeightedEdge,
     WeightedGraph,
+    dfs_decomposition,
+    heaviest_edge_decomposition,
     max_incident_sum,
     total_weight,
 )
@@ -43,11 +45,46 @@ FIGURE_GRAPH = unit_graph(
 GRAPH_KINDS = ("random", "tree", "pendants", "forest")
 
 
+def product_density(q, factors):
+    """Density matrix on q qubits (qubit i is bit i of the index, as in
+    dense_qmc_hamiltonian): each (qubits, matrix) factor acts on its listed
+    qubits, the j-th of them being bit j of the factor's index, and every
+    qubit no factor lists is maximally mixed."""
+    idx = np.arange(1 << q)
+    rho = np.ones((1 << q, 1 << q), dtype=complex)
+    free = set(range(q))
+    for qubits, m in factors:
+        local = sum(((idx >> g) & 1) << j for j, g in enumerate(qubits))
+        rho *= m[np.ix_(local, local)]
+        free -= set(qubits)
+    for g in free:
+        bit = (idx >> g) & 1
+        rho *= (bit[:, None] == bit[None, :]) / 2
+    return rho
+
+
+SINGLET = np.array([[0, 0, 0, 0], [0, 1, -1, 0], [0, -1, 1, 0], [0, 0, 0, 0]]) / 2
+
+
+def stripped_star(d):
+    """The optimal state of a d-leaf star (centre first), its coefficients the
+    top star-Laplacian eigenvector (d, -1, ..., -1) on single excitations,
+    averaged with its odd-local negation Y^(x)k rho^T Y^(x)k so that every
+    one-qubit Bloch vector is zero."""
+    psi = np.zeros(1 << (d + 1))
+    psi[[1 << j for j in range(d + 1)]] = [d] + [-1] * d
+    rho = np.outer(psi, psi) / np.dot(psi, psi)
+    y = np.eye(1)
+    for _ in range(d + 1):
+        y = np.kron(y, PAULI["Y"])
+    return (rho + y @ rho.T @ y) / 2
+
+
 class TestMaxCut:
     def test_triangle(self):
         cut = oc.max_cut_bruteforce(TRIANGLE)
         assert cut.value == 2
-        assert oc.cut_value(TRIANGLE, cut.sides) == cut.value
+        assert cut_value(TRIANGLE, cut.sides) == cut.value
 
     def test_odd_cycle_misses_one_edge(self):
         assert oc.max_cut_bruteforce(C5).value == 4
@@ -84,7 +121,7 @@ class TestMaxCut:
             g = unit_graph(30, *zip(labels, labels[1:]))
             cut = oc.max_cut_bruteforce(g)
             assert cut.value == 29
-            assert oc.cut_value(g, cut.sides) == 29
+            assert cut_value(g, cut.sides) == 29
             assert cut.sides[0] == 0
 
     @pytest.mark.parametrize("kind", GRAPH_KINDS)
@@ -125,7 +162,7 @@ class TestMaxCut:
         g = unit_graph(40, *pairs)
         cut = oc.max_cut_bruteforce(g)
         assert cut.value == len(pairs) - 1  # odd cycle loses exactly one edge
-        assert oc.cut_value(g, cut.sides) == cut.value
+        assert cut_value(g, cut.sides) == cut.value
 
     def test_block_boundaries_do_not_change_the_cut(self, monkeypatch):
         monkeypatch.setattr(oc, "MAXCUT_BLOCK", 8)
@@ -157,14 +194,14 @@ class TestQmcApply:
         edge = unit_graph(2, (0, 1))
         singlet = np.zeros(4)
         singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        assert np.allclose(oc.qmc_apply(edge, singlet), singlet)
+        assert np.allclose(oc.QmcOperator(edge).apply(singlet), singlet)
 
     def test_aligned_states_annihilated(self):
         edge = unit_graph(2, (0, 1))
-        assert np.allclose(oc.qmc_apply(edge, np.array([1.0, 0, 0, 0])), 0)
+        assert np.allclose(oc.QmcOperator(edge).apply(np.array([1.0, 0, 0, 0])), 0)
         tri_all_zero = np.zeros(8)
         tri_all_zero[0] = 1.0
-        assert np.allclose(oc.qmc_apply(TRIANGLE, tri_all_zero), 0)
+        assert np.allclose(oc.QmcOperator(TRIANGLE).apply(tri_all_zero), 0)
 
     def test_matches_dense_hamiltonian(self):
         for i in range(10):
@@ -174,8 +211,9 @@ class TestQmcApply:
                 continue
             h = dense_qmc_hamiltonian(g)
             dim = h.shape[0]
-            psi = la.random_state(rng, dim)
-            assert np.max(np.abs(oc.qmc_apply(g, psi) - h @ psi)) < 1e-12
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            assert np.max(np.abs(oc.QmcOperator(g).apply(psi) - h @ psi)) < 1e-12
 
 
 class TestQmcExact:
@@ -233,8 +271,9 @@ class TestQmcExact:
     def test_witness_achieves_value(self):
         g = unit_graph(5, (0, 1), (2, 3), (3, 4))
         res = oc.qmc_exact(g)
-        op = oc.QmcOperator(g)
-        assert op.rayleigh(res.witness) == pytest.approx(res.value, abs=1e-8)
+        psi = res.witness
+        rayleigh = np.vdot(psi, oc.QmcOperator(g).apply(psi)) / np.vdot(psi, psi)
+        assert rayleigh == pytest.approx(res.value, abs=1e-8)
 
     def test_empty_graph(self):
         res = oc.qmc_exact(WeightedGraph(3, []))
@@ -274,86 +313,6 @@ class TestBounds:
             assert b.lower_weighted == b.upper * Fraction(2, 5)
 
 
-class TestStarState:
-    @pytest.mark.parametrize("d", [1, 2, 4])
-    def test_energy(self, d):
-        psi, energy = oc.star_optimal_state(d)
-        assert energy == pytest.approx((d + 1) / 2, abs=1e-9)
-
-    def test_d1_is_singlet_up_to_sign(self):
-        psi, _ = oc.star_optimal_state(1)
-        singlet = np.zeros(4)
-        singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        overlap = abs(np.dot(psi, singlet))
-        assert overlap == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_excitation_support(self):
-        psi, _ = oc.star_optimal_state(3)
-        support = {i for i, a in enumerate(psi) if abs(a) > 1e-12}
-        assert support == {1, 2, 4, 8}
-
-
-class TestStripOddLocal:
-    def test_basis_state_becomes_mixed(self):
-        rho = la.DensityMatrix(np.diag([1.0, 0.0]))
-        assert np.allclose(oc.strip_odd_local(rho).matrix, np.eye(2) / 2)
-
-    def test_plus_state_becomes_mixed(self):
-        plus = la.DensityMatrix.pure(np.array([1, 1]) / np.sqrt(2))
-        assert np.allclose(oc.strip_odd_local(plus).matrix, np.eye(2) / 2)
-
-    def test_singlet_untouched(self):
-        s = la.singlet_density()
-        assert np.allclose(oc.strip_odd_local(s).matrix, s.matrix, atol=1e-12)
-
-    def test_even_local_terms_preserved(self):
-        for i in range(10):
-            rho = la.random_density(fresh_rng(44, i), 4)
-            stripped = oc.strip_odd_local(rho)
-            before = la.pauli_decompose(rho.matrix)
-            after = la.pauli_decompose(stripped.matrix)
-            loc = before.locality()
-            even = loc % 2 == 0
-            assert np.max(np.abs(before.coeffs[even] - after.coeffs[even])) <= 1e-10
-            assert np.max(np.abs(after.coeffs[~even])) <= 1e-12
-
-    def test_matches_spin_flip_average(self):
-        # The odd-local negation is conjugation of the transpose by Y^(x)n.
-        for i in range(10):
-            rng = fresh_rng(45, i)
-            n = int(rng.integers(1, 4))
-            rho = la.random_density(rng, 1 << n)
-            y = np.eye(1, dtype=complex)
-            for _ in range(n):
-                y = np.kron(y, la.PAULI_Y)
-            alt = (rho.matrix + y @ rho.matrix.T @ y) / 2
-            assert np.max(np.abs(oc.strip_odd_local(rho).matrix - alt)) <= 1e-12
-
-    def test_crossing_edges_earn_quarter(self):
-        # Product of stripped states on two disjoint edges: internal energies
-        # survive, the crossing edge earns exactly 1/4.
-        rng = fresh_rng(46)
-        rho1 = la.random_density(rng, 4)
-        rho2 = la.random_density(rng, 4)
-        g_internal = unit_graph(2, (0, 1))
-        h_internal = dense_qmc_hamiltonian(g_internal)
-        s1, s2 = oc.strip_odd_local(rho1), oc.strip_odd_local(rho2)
-        for rho, s in ((rho1, s1), (rho2, s2)):
-            before = np.trace(h_internal @ rho.matrix).real
-            after = np.trace(h_internal @ s.matrix).real
-            assert after == pytest.approx(before, abs=1e-9)
-        # crossing term between qubit 1 (of pair one) and qubit 2 (of pair two)
-        h_cross = np.zeros((16, 16), dtype=complex)
-        for label, sign in (("I", 1), ("X", -1), ("Y", -1), ("Z", -1)):
-            factors = ["I", label, label, "I"] if label != "I" else ["I"] * 4
-            acc = np.eye(1, dtype=complex)
-            for f in reversed(range(4)):  # qubit 0 least significant
-                acc = np.kron(acc, la.PAULIS["IXYZ".index(factors[f])])
-            h_cross += sign / 4 * acc
-        product = np.kron(s2.matrix, s1.matrix)  # qubit 0 least significant
-        assert np.trace(h_cross @ product).real == pytest.approx(0.25, abs=1e-9)
-
-
 class TestConstructiveEnergies:
     def test_figure_graph_value(self):
         ce = oc.constructive_energies(FIGURE_GRAPH)
@@ -371,6 +330,36 @@ class TestConstructiveEnergies:
     def test_weighted_graph_has_no_dfs_value(self):
         g = WeightedGraph(2, [E(0, 1, Fraction(2))])
         assert oc.constructive_energies(g).dfs_level_value is None
+
+    def test_matching_value_is_achieved(self):
+        # Singlets on the heaviest-edge matching and I/2 on every other
+        # qubit: a matched edge earns its weight, and every other edge sees
+        # two maximally mixed qubits and earns a quarter of its weight.
+        for i in range(60):
+            rng = fresh_rng(176, i)
+            g = random_graph(rng, int(rng.integers(2, 9)), 0.5, weights=(1, 2, Fraction(1, 3), Fraction(5, 2)))
+            qubit = {u: k for k, u in enumerate(g.non_isolated())}
+            matching = heaviest_edge_decomposition(g).matching
+            rho = product_density(len(qubit), [((qubit[e.u], qubit[e.v]), SINGLET) for e in matching])
+            energy = np.trace(dense_qmc_hamiltonian(g) @ rho).real
+            assert energy == pytest.approx(float(oc.constructive_energies(g).matching_value), abs=1e-9)
+
+    def test_dfs_level_value_is_achieved(self):
+        # Stripped optimal stars on the DFS levels of one depth parity and
+        # I/2 elsewhere: a d-leaf star earns (d+1)/2, and every other edge
+        # joins two different factors with zero Bloch vectors and earns 1/4.
+        # The value is the energy of one parity's state.
+        for i in range(40):
+            rng = fresh_rng(177, i)
+            g = random_connected_graph(rng, int(rng.integers(2, 9)))
+            dec, h = dfs_decomposition(g), dense_qmc_hamiltonian(g)
+            energies = []
+            for parity in (0, 1):
+                stars = [s for k, level in enumerate(dec.stars) if k % 2 == parity for s in level]
+                rho = product_density(g.n, [((c,) + leaves, stripped_star(len(leaves))) for c, leaves in stars])
+                energies.append(np.trace(h @ rho).real)
+            value = float(oc.constructive_energies(g).dfs_level_value)
+            assert min(abs(e - value) for e in energies) <= 1e-9, (i, energies, value)
 
     def test_soundness_and_dfs_strength(self):
         for i in range(60):

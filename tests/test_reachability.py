@@ -1,0 +1,93 @@
+"""Every library name must be reached by the program, not only by tests.
+
+Each module-level function, class and constant of ``src/qmcstream`` and each
+public method of its classes must be named somewhere in ``src/``, ``bench/``
+or ``scripts/`` outside its own definition and outside the package's
+re-export list (``__init__.py``). A name counts when it appears as a variable,
+an attribute, or a word of a string literal other than a docstring (the
+benchmark tracer names what it wraps in strings). Names are matched by their
+last component, so a method shares credit with any attribute of that name.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "qmcstream"
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# Reached only by tests, on purpose; one reason each.
+ALLOWED = {
+    "finalize_sample": "scores a ReservoirState, the per-edge reference the bank must match in law",
+    "expectation_oracle": "exact E[X] by enumeration, the reference for the bank's sample mean",
+    "estimate_qmc": "the one-call library form of QmcEstimateAlgorithm",
+    "parse_instance": "reads the documented dihp-gen output format",
+    "EstimatorBank.candidate_edges": "lets tests compare the bank's candidates with reference reservoirs",
+}
+
+
+def _occurrences(path: Path) -> list[tuple[str, int]]:
+    """(name, line) for every identifier the module uses."""
+    tree = ast.parse(path.read_text())
+    docstrings = {
+        id(node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.end_lineno))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            out.extend((word, node.lineno) for word in WORD.findall(node.value))
+    return out
+
+
+def _definitions(path: Path):
+    """(qualified name, first line, last line) of each checked definition."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    yield target.id, node.lineno, node.end_lineno
+
+
+def unreached_names() -> list[str]:
+    uses: dict[str, list[tuple[Path, int]]] = {}
+    for folder in ("src", "bench", "scripts"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path.name != "__init__.py":
+                for word, line in _occurrences(path):
+                    uses.setdefault(word, []).append((path, line))
+    out = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "__init__.py":
+            continue
+        for qualname, first, last in _definitions(module):
+            name = qualname.rsplit(".", 1)[-1]
+            if all(path == module and first <= line <= last for path, line in uses.get(name, [])):
+                out.append(f"{module.stem}.{qualname}")
+    return out
+
+
+def test_library_names_are_reached_outside_tests():
+    unreached = [q for q in unreached_names() if q.split(".", 1)[1] not in ALLOWED]
+    assert unreached == [], "library names reached only by tests (delete them, or allow one with a reason)"
+
+
+def test_allowlist_names_exist_and_are_unreached():
+    # An allowed name that the program starts to use, or that is deleted,
+    # leaves the list.
+    assert sorted(q.split(".", 1)[1] for q in unreached_names()) == sorted(ALLOWED)

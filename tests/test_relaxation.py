@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import fresh_rng, random_graph
+from conftest import fresh_rng, random_graph, sdp_objective
 from qmcstream import relaxation as rx
 from qmcstream.graph import WeightedEdge, WeightedGraph, total_weight
 from qmcstream.oracles import max_cut_bruteforce, qmc_exact
@@ -20,18 +20,18 @@ class TestObjective:
     def test_antipodal_edge(self):
         g = unit_graph(2, (0, 1))
         a = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert rx.sdp_objective(g, a) == pytest.approx(1.0)
+        assert sdp_objective(g, a) == pytest.approx(1.0)
 
     def test_triangle_at_120_degrees(self):
         a = np.array(
             [[1, 0, 0], [-0.5, np.sqrt(3) / 2, 0], [-0.5, -np.sqrt(3) / 2, 0]]
         )
-        assert rx.sdp_objective(TRIANGLE, a) == pytest.approx(1.5)
+        assert sdp_objective(TRIANGLE, a) == pytest.approx(1.5)
 
     def test_bipartite_c4_by_sides(self):
         g = unit_graph(4, (0, 1), (1, 2), (2, 3), (0, 3))
         a = np.array([[1.0, 0], [-1.0, 0], [1.0, 0], [-1.0, 0]])
-        assert rx.sdp_objective(g, a) == pytest.approx(4.0)
+        assert sdp_objective(g, a) == pytest.approx(4.0)
 
     def test_cut_assignment_identity(self):
         for i in range(20):
@@ -44,12 +44,12 @@ class TestObjective:
             a[:, 0] = [1.0 if s == 0 else -1.0 for s in sides]
             cut = sum(float(e.w) for e in g.edges if sides[e.u] != sides[e.v])
             m = float(total_weight(g))
-            assert rx.sdp_objective(g, a) == pytest.approx(2 * cut - m, abs=1e-9)
+            assert sdp_objective(g, a) == pytest.approx(2 * cut - m, abs=1e-9)
 
     def test_rejects_non_unit_rows(self):
         g = unit_graph(2, (0, 1))
         with pytest.raises(ValueError, match="unit"):
-            rx.sdp_objective(g, np.array([[2.0, 0.0], [1.0, 0.0]]))
+            sdp_objective(g, np.array([[2.0, 0.0], [1.0, 0.0]]))
 
 
 class TestSolve:
@@ -74,7 +74,7 @@ class TestSolve:
             if not g.edges:
                 continue
             r = rx.solve_vector_program(g, rank=g.n, seed=i)
-            assert rx.sdp_objective(g, r.assignment) == pytest.approx(r.best_value, abs=1e-9)
+            assert sdp_objective(g, r.assignment) == pytest.approx(r.best_value, abs=1e-9)
 
     def test_empty_graph(self):
         r = rx.solve_vector_program(WeightedGraph(3, []), rank=2)
