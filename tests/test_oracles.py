@@ -285,6 +285,19 @@ class TestQmcExact:
             oc.qmc_exact(g)
 
 
+class TestStarState:
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_energy(self, d):
+        # The stripped star witness used for the DFS level value is a
+        # trace-one state earning (d+1)/2, the star's exact optimum.
+        g = unit_graph(d + 1, *[(0, i + 1) for i in range(d)])
+        rho = stripped_star(d)
+        assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
+        energy = np.trace(dense_qmc_hamiltonian(g) @ rho).real
+        assert energy == pytest.approx((d + 1) / 2, abs=1e-9)
+        assert energy == pytest.approx(oc.qmc_exact(g).value, abs=1e-8)
+
+
 class TestBounds:
     def test_triangle_bounds(self):
         b = oc.qmc_bounds(TRIANGLE)
