@@ -10,7 +10,7 @@ import argparse
 import math
 
 from qmcstream.estimator import estimate_w
-from qmcstream.graph import EdgeStream, WeightedEdge, WeightedGraph, max_incident_sum, total_weight
+from qmcstream.graph import WeightedEdge, WeightedGraph, max_incident_sum, total_weight
 from qmcstream.rng import substream
 
 
@@ -24,14 +24,15 @@ def main():
     args = ap.parse_args()
 
     rng = substream(args.seed, 1)
-    edges = [
-        WeightedEdge(u, v)
-        for u in range(args.n)
-        for v in range(u + 1, args.n)
-        if rng.random() < args.edge_prob
-    ]
-    stream = EdgeStream(args.n, tuple(edges))
-    g = WeightedGraph.from_stream(stream)
+    g = WeightedGraph(
+        args.n,
+        [
+            WeightedEdge(u, v)
+            for u in range(args.n)
+            for v in range(u + 1, args.n)
+            if rng.random() < args.edge_prob
+        ],
+    )
     w_true = float(max_incident_sum(g))
     m = float(total_weight(g))
     print(f"graph: n={args.n} m={int(m)} W={int(w_true)}")
@@ -40,7 +41,7 @@ def main():
         errs = []
         words = 0
         for t in range(args.trials):
-            r = estimate_w(stream, eps, args.delta, seed=t)
+            r = estimate_w(g.edges, eps, args.delta, seed=t)
             errs.append(r.w_hat - w_true)
             words = r.words_used
         worst = max(abs(e) for e in errs)

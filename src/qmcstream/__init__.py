@@ -1,7 +1,6 @@
 """Streaming estimation, exact oracles, and Fourier checks for Quantum Max-Cut."""
 
 from .graph import (
-    EdgeStream,
     GraphParseError,
     InfeasibleSizeError,
     WeightedEdge,

@@ -62,6 +62,19 @@ def iter_stream_edges(lines: Iterable[str]) -> Iterator[WeightedEdge]:
         yield edge
 
 
+def _compute_names(text: str, known: Sequence[str]) -> set[str]:
+    """The names of a --compute comma list; empty means all of ``known``.
+
+    An unknown name is a ValueError that names it.
+    """
+    names = set(text.split(",")) if text else set(known)
+    unknown = sorted(names - set(known))
+    if unknown:
+        raise ValueError(f"unknown --compute name(s) {', '.join(map(repr, unknown))}; "
+                         f"choose from {','.join(known)}")
+    return names
+
+
 def _open_input(path: str) -> TextIO:
     return sys.stdin if path == "-" else open(path, "r")
 
@@ -73,7 +86,7 @@ def _read_graph(path: str) -> WeightedGraph:
     finally:
         if handle is not sys.stdin:
             handle.close()
-    return WeightedGraph.from_stream(parse_edge_list(text))
+    return parse_edge_list(text)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +147,8 @@ def cmd_wexact(args, out: TextIO) -> int:
 
 
 def cmd_exact(args, out: TextIO) -> int:
+    compute = _compute_names(args.compute, ("maxcut", "qmc", "bounds", "constructive"))
     g = _read_graph(args.input)
-    compute = set(args.compute.split(",")) if args.compute else {
-        "maxcut", "qmc", "bounds", "constructive"}
     m, w = total_weight(g), max_incident_sum(g)
     report: dict = {
         "schema": 1,
@@ -207,7 +219,7 @@ def cmd_dihp_gen(args, out: TextIO) -> int:
 
 
 def cmd_dihp_exp(args, out: TextIO) -> int:
-    compute = set(args.compute.split(",")) if args.compute else {"maxcut"}
+    compute = _compute_names(args.compute or "maxcut", ("maxcut", "sdp", "qmc"))
     report = separation_experiment(
         args.n,
         args.alpha_n,

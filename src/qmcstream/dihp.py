@@ -16,7 +16,7 @@ from typing import Optional, Protocol, Sequence
 import numpy as np
 
 from .estimator import QmcEstimateAlgorithm  # noqa: F401 (a protocol player)
-from .graph import EdgeStream, WeightedEdge, WeightedGraph, dfs_forest, is_bipartite
+from .graph import WeightedEdge, WeightedGraph, dfs_forest, is_bipartite
 from .oracles import max_cut_bruteforce, qmc_exact
 from .relaxation import solve_vector_program
 from .rng import substream
@@ -164,10 +164,10 @@ def _player_edges(inst: DihpInstance) -> list[list[WeightedEdge]]:
     return parts
 
 
-def reduce_to_stream(inst: DihpInstance) -> EdgeStream:
-    """The players' parts of the reduced stream (see _player_edges) in
-    player order."""
-    return EdgeStream(inst.n, tuple(e for part in _player_edges(inst) for e in part))
+def reduce_to_stream(inst: DihpInstance) -> WeightedGraph:
+    """The reduced graph: the players' parts of the stream (see
+    _player_edges) as its edges, in player order."""
+    return WeightedGraph(inst.n, [e for part in _player_edges(inst) for e in part])
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +299,8 @@ def separation_experiment(
         for trial in range(trials):
             trial_seed = int(substream(seed, 0x5EA, 0 if case == YES else 1, trial).integers(2**62))
             inst = sample_instance(n, alpha_n, t_players, case, trial_seed)
-            stream = reduce_to_stream(inst)
-            g = WeightedGraph.from_stream(stream)
-            m = len(stream)
+            g = reduce_to_stream(inst)
+            m = g.m_edges
             m_values[case].append(m)
             wit = is_bipartite(g)
             bipartite_hits += int(wit.bipartite)

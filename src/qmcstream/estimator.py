@@ -7,6 +7,9 @@ incident edges stay at or below the sampled weight). E[X] = W / 2m exactly,
 so 2m * X estimates W unbiasedly; averaging B reservoirs per group and
 taking the median over K groups gives the (epsilon, delta) guarantee.
 
+A stream is any iterable of WeightedEdge in arrival order: the lines of an
+edge list as they are read, or the ordered ``edges`` of a WeightedGraph.
+
 The bank vectorizes all K*B reservoirs and consumes the stream in bounded
 chunks. One categorical draw per reservoir per chunk picks where its last
 replacement in the chunk fell, if anywhere, which reproduces the per-edge
@@ -24,23 +27,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
-from .graph import EdgeStream, WeightedEdge
+from .graph import WeightedEdge
 from .rng import substream
 
 EXPECTATION_ORACLE_CAP = 16
 DEFAULT_CHUNK = 1024
-
-EdgeSource = Union[EdgeStream, Iterable[WeightedEdge]]
-
-
-def _edges_of(stream: EdgeSource) -> Iterable[WeightedEdge]:
-    if isinstance(stream, EdgeStream):
-        return stream.edges
-    return stream
 
 
 def amplification_plan(epsilon: float, delta: float) -> tuple[int, int]:
@@ -105,14 +100,14 @@ def finalize_sample(r: ReservoirState) -> Fraction:
     return 1 - r.best_after / r.candidate.w
 
 
-def expectation_oracle(stream: EdgeSource) -> Fraction:
+def expectation_oracle(stream: Iterable[WeightedEdge]) -> Fraction:
     """Exact E[X] by enumerating every (edge, endpoint) sample outcome.
 
     Given the sampled edge and endpoint, X is a deterministic function of
     the later stream, so the full expectation is a weighted sum over the
     2 * |stream| outcomes, in rational arithmetic. Equals W / 2m.
     """
-    edges = list(_edges_of(stream))
+    edges = list(stream)
     if len(edges) > EXPECTATION_ORACLE_CAP:
         raise ValueError(f"expectation oracle capped at {EXPECTATION_ORACLE_CAP} edges")
     if not edges:
@@ -182,8 +177,8 @@ class EstimatorBank:
         if len(self._buf_w) >= self.chunk_size:
             self.flush()
 
-    def process_stream(self, stream: EdgeSource) -> None:
-        for e in _edges_of(stream):
+    def process_stream(self, stream: Iterable[WeightedEdge]) -> None:
+        for e in stream:
             self.process_edge(e)
 
     def flush(self) -> None:
@@ -300,7 +295,7 @@ class WEstimate:
     words_used: int
 
 
-def estimate_w(stream: EdgeSource, epsilon: float, delta: float, seed: int = 0) -> WEstimate:
+def estimate_w(stream: Iterable[WeightedEdge], epsilon: float, delta: float, seed: int = 0) -> WEstimate:
     """One-pass estimate of W within epsilon*m additively, w.p. >= 1 - delta."""
     bank = EstimatorBank(epsilon, delta, seed)
     bank.process_stream(stream)
@@ -368,9 +363,9 @@ class QmcEstimateAlgorithm:
         )
 
 
-def estimate_qmc(stream: EdgeSource, epsilon: float, delta: float, seed: int = 0) -> QmcEstimate:
+def estimate_qmc(stream: Iterable[WeightedEdge], epsilon: float, delta: float, seed: int = 0) -> QmcEstimate:
     """Single-pass Quantum Max-Cut approximation from m and the W estimate."""
     estimator = QmcEstimateAlgorithm(epsilon, delta, seed)
-    for e in _edges_of(stream):
+    for e in stream:
         estimator.update(e)
     return estimator.report()

@@ -1,10 +1,12 @@
-"""Weighted graphs, ordered edge streams, and structural decompositions.
+"""Weighted graphs as ordered edge sequences, and structural decompositions.
 
-Weights are exact rationals throughout this module; floating point enters
-only in the numerical modules that consume graphs. Two decompositions are
-provided: the heaviest-incident-edge matching/forest split, and a DFS forest
-from which components, depth levels with their star partition, and
-bipartiteness with its witness are all read.
+A graph's edges keep the order they were given in, so one object serves as
+the graph and as the edge stream the one-pass estimator reads. Weights are
+exact rationals throughout this module; floating point enters only in the
+numerical modules that consume graphs. Two decompositions are provided:
+the heaviest-incident-edge matching/forest split, and a DFS forest from
+which components, depth levels with their star partition, and bipartiteness
+with its witness are all read.
 """
 
 from __future__ import annotations
@@ -49,51 +51,37 @@ class WeightedEdge:
         return (self.u, self.v) if self.u < self.v else (self.v, self.u)
 
 
-def _check_simple(n: int, edges: Iterable[WeightedEdge]) -> None:
-    """Every endpoint lies in 0..n-1 and no vertex pair appears twice."""
-    seen = set()
-    for e in edges:
-        if not (0 <= e.u < n and 0 <= e.v < n):
-            raise ValueError(f"vertex out of range in edge {e.u}-{e.v} (n={n})")
-        if e.pair in seen:
-            raise ValueError(f"duplicate edge {e.pair[0]}-{e.pair[1]}")
-        seen.add(e.pair)
-
-
-@dataclass(frozen=True)
-class EdgeStream:
-    """An ordered edge arrival sequence over vertices 0..n-1.
-
-    Arrival order is meaningful: the streaming estimator's per-sample value
-    depends on which incident edges arrive after the sampled edge.
-    """
-
-    n: int
-    edges: tuple[WeightedEdge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(self.edges))
-        _check_simple(self.n, self.edges)
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
 class WeightedGraph:
-    """Simple weighted graph with symmetric adjacency lists."""
+    """Simple weighted graph over vertices 0..n-1 with symmetric adjacency lists.
+
+    ``edges`` keeps the order the edges were given in, which is their
+    arrival order as a stream. That order is meaningful: the streaming
+    estimator's per-sample value depends on which incident edges arrive
+    after the sampled edge.
+    """
 
     def __init__(self, n: int, edges: Iterable[WeightedEdge]):
         self.n = n
         self.edges: tuple[WeightedEdge, ...] = tuple(edges)
         self.adjacency: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        _check_simple(n, self.edges)
+        seen = set()
         for e in self.edges:
+            if not (0 <= e.u < n and 0 <= e.v < n):
+                raise ValueError(f"vertex out of range in edge {e.u}-{e.v} (n={n})")
+            if e.pair in seen:
+                raise ValueError(f"duplicate edge {e.pair[0]}-{e.pair[1]}")
+            seen.add(e.pair)
             self.adjacency[e.u].append((e.v, e.w))
             self.adjacency[e.v].append((e.u, e.w))
 
     @classmethod
-    def from_stream(cls, stream: EdgeStream) -> "WeightedGraph":
-        return cls(stream.n, stream.edges)
+    def from_stream(cls, g: "WeightedGraph") -> "WeightedGraph":
+        """A copy of g: the same n and the same edges in the same order.
+
+        Nothing in the package needs it; the benchmark's worker and tracer
+        name it.
+        """
+        return cls(g.n, g.edges)
 
     @property
     def m_edges(self) -> int:
@@ -145,7 +133,7 @@ def max_incident_sum(g: WeightedGraph) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Parsing and serialization
+# Parsing
 # ---------------------------------------------------------------------------
 
 
@@ -187,9 +175,10 @@ def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
             yield lineno, parts
 
 
-def parse_edge_list(text: str) -> EdgeStream:
-    """Parse a whole edge list (see read_edge_list) into an EdgeStream,
-    rejecting a repeated vertex pair with the line it appears on.
+def parse_edge_list(text: str) -> WeightedGraph:
+    """Parse a whole edge list (see read_edge_list) into a WeightedGraph
+    with the edges in line order, rejecting a repeated vertex pair with the
+    line it appears on.
 
     Lines end only at newline characters, as in a text stream, so the
     streaming reader splits text read from the same handle alike.
@@ -204,7 +193,7 @@ def parse_edge_list(text: str) -> EdgeStream:
             )
         pairs.add(edge.pair)
         edges.append(edge)
-    return EdgeStream(n, tuple(edges))
+    return WeightedGraph(n, edges)
 
 
 def parse_edge_line(parts: Sequence[str], lineno: int, n: int) -> WeightedEdge:

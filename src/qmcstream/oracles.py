@@ -281,8 +281,8 @@ class ConstructiveEnergies:
     matching_value: singlets on the heaviest-edge matching, a quarter of the
     weight on every other edge. forest_cut_value: half of a perfect classical
     cut of the matching-plus-forest. dfs_level_value: optimal stars on the
-    heavier half of the DFS levels plus a quarter elsewhere (unit weights
-    only).
+    DFS levels of one depth parity per component, the parity whose stars
+    are worth more, plus a quarter elsewhere (unit weights only).
     """
 
     matching_value: Fraction
@@ -303,24 +303,17 @@ def constructive_energies(g: WeightedGraph) -> ConstructiveEnergies:
 
 
 def _dfs_level_value(g: WeightedGraph, m: Fraction) -> Fraction:
+    # A star with d leaves is worth (d+1)/2 where its d edges would earn 1/4
+    # each, so it adds (d + 2)/4 to m/4. Per component, take the depth
+    # parity whose stars add more.
     dec = dfs_decomposition(g)
-    # (component, depth parity) -> [leaves, centres] over that parity's stars
-    counts: dict[tuple[int, int], list[int]] = {}
+    gain: dict[tuple[int, int], int] = {}  # (component, depth parity) -> 4 * added value
     for k, level_stars in enumerate(dec.stars):
         for center, leaves in level_stars:
-            c = counts.setdefault((dec.component[center], k % 2), [0, 0])
-            c[0] += len(leaves)
-            c[1] += 1
-    # Per component, the parity with more star edges; a star with d leaves
-    # is worth (d+1)/2, so the chosen stars give (leaves + centres)/2.
-    star_sum = Fraction(0)
-    chosen_edges = 0
-    for ci in range(len(dec.roots)):
-        even, odd = counts[ci, 0], counts.get((ci, 1), [0, 0])
-        leaves, centres = even if even[0] >= odd[0] else odd
-        star_sum += Fraction(leaves + centres, 2)
-        chosen_edges += leaves
-    return star_sum + (m - chosen_edges) / 4
+            key = (dec.component[center], k % 2)
+            gain[key] = gain.get(key, 0) + len(leaves) + 2
+    best = sum(max(gain[ci, 0], gain.get((ci, 1), 0)) for ci in range(len(dec.roots)))
+    return (m + best) / 4
 
 
 def guaranteed_lower_bound(g: WeightedGraph) -> Fraction:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qmcstream.graph import EdgeStream, WeightedEdge, WeightedGraph
+from qmcstream.graph import WeightedEdge, WeightedGraph
 from qmcstream.rng import substream
 
 PAULI = {
@@ -50,6 +50,7 @@ def random_connected_graph(rng, n, extra_p=0.3, weights=(1,)):
 
 
 def random_stream(rng, n, max_edges, weights=(1,)):
+    """A graph of 1..max_edges distinct random pairs, its edges in random order."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
     k = int(rng.integers(1, min(max_edges, len(pairs)) + 1))
@@ -57,7 +58,7 @@ def random_stream(rng, n, max_edges, weights=(1,)):
         WeightedEdge(u, v, Fraction(weights[int(rng.integers(0, len(weights)))]))
         for u, v in pairs[:k]
     )
-    return EdgeStream(n, edges)
+    return WeightedGraph(n, edges)
 
 
 def _mask_connected(mask, pairs, n):

@@ -32,7 +32,6 @@ from qmcstream.estimator import (
 from qmcstream.fourier import parity_forwarding_protocol, phibound_experiment
 from qmcstream.fourier_suite import random_toy_protocol, verify_fourier_lemmas
 from qmcstream.graph import (
-    EdgeStream,
     WeightedEdge,
     WeightedGraph,
     max_incident_sum,
@@ -59,27 +58,24 @@ def test_criterion_01_unbiasedness_exact():
     for k in (1, 2, 3):
         for combo in itertools.combinations(pairs, k):
             for order in itertools.permutations(combo):
-                s = EdgeStream(6, tuple(E(u, v) for u, v in order))
-                g = WeightedGraph.from_stream(s)
-                assert expectation_oracle(s) == max_incident_sum(g) / (2 * total_weight(g))
+                g = WeightedGraph(6, [E(u, v) for u, v in order])
+                assert expectation_oracle(g.edges) == max_incident_sum(g) / (2 * total_weight(g))
                 checked += 1
     for i in range(50):
         rng = fresh_rng(90, i)
-        s = random_stream(rng, int(rng.integers(2, 11)), 8, weights=(1, 2, 3, 5, 8))
-        g = WeightedGraph.from_stream(s)
-        assert expectation_oracle(s) == max_incident_sum(g) / (2 * total_weight(g))
+        g = random_stream(rng, int(rng.integers(2, 11)), 8, weights=(1, 2, 3, 5, 8))
+        assert expectation_oracle(g.edges) == max_incident_sum(g) / (2 * total_weight(g))
     _report(1, f"E[X] = W/2m as exact rationals on {checked} exhaustive + 50 random streams")
 
 
 def test_criterion_02_additive_w_estimation():
     rng = fresh_rng(91)
     edges = [E(u, v) for u in range(100) for v in range(u + 1, 100) if rng.random() < 0.1]
-    stream = EdgeStream(100, tuple(edges))
-    g = WeightedGraph.from_stream(stream)
+    g = WeightedGraph(100, edges)
     w_true = float(max_incident_sum(g))
     m = float(total_weight(g))
     hits = sum(
-        abs(estimate_w(stream, 0.1, 0.1, seed=t).w_hat - w_true) <= 0.1 * m
+        abs(estimate_w(g.edges, 0.1, 0.1, seed=t).w_hat - w_true) <= 0.1 * m
         for t in range(100)
     )
     assert hits >= 90

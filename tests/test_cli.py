@@ -185,5 +185,20 @@ class TestExitCodes:
         assert main(["exact", "--compute", "qmc"]) == 1
         assert capsys.readouterr().err.startswith("error: Lanczos failed to converge")
 
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            (["exact", "--compute", "maxcutt"], "maxcutt"),
+            (["exact", "--compute", "bounds,qmc,"], "''"),
+            (["dihp-exp", "--n", "8", "--alpha-n", "2", "--t-players", "2", "--compute", "maxcut,sdpp"], "sdpp"),
+        ],
+    )
+    def test_unknown_compute_name_is_one(self, args, name, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(TRIANGLE))
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: unknown --compute name") and name in err
+
     def test_in_process_entry_point(self, capsys):
         assert main(["wexact", "--input", "/dev/null"]) == 1

@@ -3,7 +3,6 @@ import pytest
 
 from conftest import ConstantAlgorithm
 from qmcstream import dihp
-from qmcstream.graph import WeightedGraph
 from qmcstream.oracles import max_cut_bruteforce, qmc_exact
 
 
@@ -134,13 +133,13 @@ class TestReduction:
     def test_stream_is_duplicate_free(self):
         for i in range(50):
             inst = dihp.sample_instance(18, 4, 6, "no", seed=30_000 + i)
-            stream = dihp.reduce_to_stream(inst)  # EdgeStream rejects duplicates
-            assert len({e.pair for e in stream.edges}) == len(stream.edges)
+            g = dihp.reduce_to_stream(inst)  # WeightedGraph rejects duplicates
+            assert len({e.pair for e in g.edges}) == g.m_edges
 
     def test_yes_reduces_to_bipartite_with_full_cut(self):
         for i in range(60):
             inst = dihp.sample_instance(24, 5, 6, "yes", seed=40_000 + i)
-            g = WeightedGraph.from_stream(dihp.reduce_to_stream(inst))
+            g = dihp.reduce_to_stream(inst)
             x = inst.hidden_partition
             assert all(x[e.u] != x[e.v] for e in g.edges)
             if g.edges:
@@ -150,7 +149,7 @@ class TestReduction:
 class TestProtocolHarness:
     def test_threshold_mechanics(self):
         inst = dihp.sample_instance(16, 4, 4, "no", seed=1)
-        m = len(dihp.reduce_to_stream(inst))
+        m = dihp.reduce_to_stream(inst).m_edges
         assert m > 0
         above = dihp.run_protocol(inst, ConstantAlgorithm(m / 1.4), "mc", 0.5)
         assert above.decision == "yes" and above.threshold == pytest.approx(m / 1.5)

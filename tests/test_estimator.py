@@ -6,14 +6,15 @@ import pytest
 
 from conftest import fresh_rng, random_stream
 from qmcstream import estimator as est
-from qmcstream.graph import EdgeStream, WeightedEdge, WeightedGraph, max_incident_sum, total_weight
+from qmcstream.graph import WeightedEdge, WeightedGraph, max_incident_sum, total_weight
 from qmcstream.rng import substream
 
 E = WeightedEdge
 
 
 def stream(n, *triples):
-    return EdgeStream(n, tuple(E(u, v, Fraction(w)) for u, v, w in triples))
+    """A graph whose edges, in the given order, are the stream."""
+    return WeightedGraph(n, [E(u, v, Fraction(w)) for u, v, w in triples])
 
 
 class TestReservoirReference:
@@ -71,24 +72,23 @@ class TestFinalize:
 
 class TestExpectationOracle:
     def test_single_edge(self):
-        assert est.expectation_oracle(stream(2, (0, 1, 5))) == 1
+        assert est.expectation_oracle(stream(2, (0, 1, 5)).edges) == 1
 
     def test_unit_path(self):
-        assert est.expectation_oracle(stream(3, (0, 1, 1), (1, 2, 1))) == Fraction(3, 4)
+        assert est.expectation_oracle(stream(3, (0, 1, 1), (1, 2, 1)).edges) == Fraction(3, 4)
 
     def test_weighted_example(self):
         # candidate weight 4 with a later weight-3 incident edge gives 1/4
         s = stream(3, (0, 1, 4), (0, 2, 3))
         # outcomes: (e0,u0): 1-3/4=1/4; (e0,u1): 1; (e1,*): 1 each
         expect = (Fraction(4, 7) * (Fraction(1, 4) + 1) + Fraction(3, 7) * 2) / 2
-        assert est.expectation_oracle(s) == expect
+        assert est.expectation_oracle(s.edges) == expect
 
     def test_equals_w_over_2m_exactly(self):
         for i in range(50):
             rng = fresh_rng(65, i)
-            s = random_stream(rng, int(rng.integers(2, 11)), 8, weights=(1, 2, 3, 8))
-            g = WeightedGraph.from_stream(s)
-            assert est.expectation_oracle(s) == max_incident_sum(g) / (2 * total_weight(g))
+            g = random_stream(rng, int(rng.integers(2, 11)), 8, weights=(1, 2, 3, 8))
+            assert est.expectation_oracle(g.edges) == max_incident_sum(g) / (2 * total_weight(g))
 
     def test_exhaustive_up_to_three_edges(self):
         pairs = list(itertools.combinations(range(6), 2))
@@ -96,9 +96,8 @@ class TestExpectationOracle:
         for k in (1, 2, 3):
             for combo in itertools.combinations(pairs, k):
                 for order in itertools.permutations(combo):
-                    s = EdgeStream(6, tuple(E(u, v) for u, v in order))
-                    g = WeightedGraph.from_stream(s)
-                    assert est.expectation_oracle(s) == max_incident_sum(g) / (
+                    g = WeightedGraph(6, [E(u, v) for u, v in order])
+                    assert est.expectation_oracle(g.edges) == max_incident_sum(g) / (
                         2 * total_weight(g)
                     )
                     checked += 1
@@ -108,19 +107,17 @@ class TestExpectationOracle:
         for i in range(10):
             rng = fresh_rng(66, i)
             s = random_stream(rng, 8, 6, weights=(1, 2, 5))
-            base = est.expectation_oracle(s)
+            base = est.expectation_oracle(s.edges)
             for j in range(10):
                 perm = list(rng.permutation(len(s.edges)))
-                shuffled = EdgeStream(s.n, tuple(s.edges[p] for p in perm))
-                assert est.expectation_oracle(shuffled) == base
+                assert est.expectation_oracle(s.edges[p] for p in perm) == base
 
     def test_cap(self):
-        s = EdgeStream(20, tuple(E(i, i + 1) for i in range(17)))
         with pytest.raises(ValueError, match="capped"):
-            est.expectation_oracle(s)
+            est.expectation_oracle(E(i, i + 1) for i in range(17))
 
     def test_empty(self):
-        assert est.expectation_oracle(EdgeStream(2, ())) == 0
+        assert est.expectation_oracle(()) == 0
 
 
 class TestBankAgainstReference:
@@ -138,7 +135,7 @@ class TestBankAgainstReference:
             x = float(est.finalize_sample(r))
             ref_counts[round(x, 9)] = ref_counts.get(round(x, 9), 0) + 1
         bank = est.EstimatorBank(0.35, 0.3, seed=9, chunk_size=3)
-        bank.process_stream(s)
+        bank.process_stream(s.edges)
         xs = bank.sample_values()
         bank_counts = {}
         for x in np.round(xs, 9):
@@ -154,7 +151,7 @@ class TestBankAgainstReference:
     def test_candidate_distribution_proportional_to_weight(self):
         s = stream(4, (0, 1, 1), (1, 2, 2), (2, 3, 5))
         bank = est.EstimatorBank(0.2, 0.2, seed=3, chunk_size=2)
-        bank.process_stream(s)
+        bank.process_stream(s.edges)
         cands = bank.candidate_edges()
         m = 8.0
         for pair, w in (((0, 1), 1), ((1, 2), 2), ((2, 3), 5)):
@@ -167,9 +164,9 @@ class TestBankAgainstReference:
         means = []
         for chunk in (1, 3, 100):
             bank = est.EstimatorBank(0.1, 0.1, seed=8, chunk_size=chunk)
-            bank.process_stream(s)
+            bank.process_stream(s.edges)
             means.append(float(np.mean(bank.sample_values())))
-        exact = float(est.expectation_oracle(s))
+        exact = float(est.expectation_oracle(s.edges))
         for m in means:
             assert abs(m - exact) < 0.02
 
@@ -214,7 +211,7 @@ class TestBoundedness:
             rng = fresh_rng(159, i)
             s = random_stream(rng, int(rng.integers(2, 10)), 14, weights=(1, 2, 3, 7))
             bank = est.EstimatorBank(0.5, 0.4, seed=i, chunk_size=5)
-            bank.process_stream(s)
+            bank.process_stream(s.edges)
             xs = bank.sample_values()
             assert float(np.min(xs)) >= 0.0 and float(np.max(xs)) <= 1.0
             ref = est.ReservoirState()
@@ -227,10 +224,10 @@ class TestBoundedness:
 
 class TestEstimateW:
     def test_empty_stream(self):
-        assert est.estimate_w(EdgeStream(2, ()), 0.3, 0.1).w_hat == 0.0
+        assert est.estimate_w((), 0.3, 0.1).w_hat == 0.0
 
     def test_single_edge_exact(self):
-        r = est.estimate_w(stream(2, (0, 1, 5)), 0.3, 0.1, seed=4)
+        r = est.estimate_w(stream(2, (0, 1, 5)).edges, 0.3, 0.1, seed=4)
         assert r.w_hat == 10.0
 
     def test_plan_constants(self):
@@ -252,12 +249,11 @@ class TestEstimateW:
             for v in range(u + 1, 60):
                 if rng.random() < 0.15:
                     edges.append(E(u, v))
-        s = EdgeStream(60, tuple(edges))
-        g = WeightedGraph.from_stream(s)
+        g = WeightedGraph(60, edges)
         w_true = float(max_incident_sum(g))
         m = float(total_weight(g))
         hits = sum(
-            abs(est.estimate_w(s, 0.2, 0.1, seed=t).w_hat - w_true) <= 0.2 * m
+            abs(est.estimate_w(g.edges, 0.2, 0.1, seed=t).w_hat - w_true) <= 0.2 * m
             for t in range(40)
         )
         assert hits >= 36
@@ -265,23 +261,23 @@ class TestEstimateW:
     def test_clamped_to_range(self):
         s = stream(3, (0, 1, 1), (1, 2, 1))
         for t in range(10):
-            r = est.estimate_w(s, 0.5, 0.3, seed=t)
-            assert 0.0 <= r.w_hat <= 2.0 * float(total_weight(WeightedGraph.from_stream(s)))
+            r = est.estimate_w(s.edges, 0.5, 0.3, seed=t)
+            assert 0.0 <= r.w_hat <= 2.0 * float(total_weight(s))
 
 
 class TestEstimateQmc:
     def test_single_unit_edge_value(self):
-        q = est.estimate_qmc(stream(2, (0, 1, 1)), 0.1, 0.1, seed=7)
+        q = est.estimate_qmc(stream(2, (0, 1, 1)).edges, 0.1, 0.1, seed=7)
         assert q.value == pytest.approx(1.00625, abs=1e-12)
         assert q.mode == "unweighted"
         assert q.guaranteed_ratio == pytest.approx(2.1)
 
     def test_empty_stream(self):
-        q = est.estimate_qmc(EdgeStream(3, ()), 0.2, 0.1)
+        q = est.estimate_qmc((), 0.2, 0.1)
         assert q.value == 0.0
 
     def test_weighted_mode_detection(self):
-        q = est.estimate_qmc(stream(2, (0, 1, 2)), 0.2, 0.1)
+        q = est.estimate_qmc(stream(2, (0, 1, 2)).edges, 0.2, 0.1)
         assert q.mode == "weighted"
         assert q.guaranteed_ratio == pytest.approx(2.7)
 
@@ -289,16 +285,16 @@ class TestEstimateQmc:
         for i in range(15):
             rng = fresh_rng(69, i)
             s = random_stream(rng, 8, 12, weights=(1, 2, 3))
-            q = est.estimate_qmc(s, 0.3, 0.2, seed=i)
+            q = est.estimate_qmc(s.edges, 0.3, 0.2, seed=i)
             m = q.m
             assert m / 2 - 1e-12 <= q.value <= m + 0.3 * m / 4 + 1e-12
 
     def test_deterministic_under_seed(self):
         s = stream(6, (0, 1, 1), (2, 3, 1), (1, 2, 1), (4, 5, 1))
-        a = est.estimate_qmc(s, 0.25, 0.1, seed=123)
-        b = est.estimate_qmc(s, 0.25, 0.1, seed=123)
+        a = est.estimate_qmc(s.edges, 0.25, 0.1, seed=123)
+        b = est.estimate_qmc(s.edges, 0.25, 0.1, seed=123)
         assert a == b
-        c = est.estimate_qmc(s, 0.25, 0.1, seed=124)
+        c = est.estimate_qmc(s.edges, 0.25, 0.1, seed=124)
         assert a.m == c.m  # same exact counting regardless of seed
 
 

@@ -13,7 +13,6 @@ from conftest import (
     random_stream,
 )
 from qmcstream.graph import (
-    EdgeStream,
     GraphParseError,
     WeightedEdge,
     WeightedGraph,
@@ -58,7 +57,7 @@ STAR521 = graph(4, (0, 1, 5), (0, 2, 2), (0, 3, 1))
 class TestParsing:
     def test_single_weighted_edge(self):
         s = parse_edge_list("n 2\n0 1 5")
-        assert s.n == 2 and len(s) == 1
+        assert s.n == 2 and s.m_edges == 1
         assert s.edges[0] == E(0, 1, Fraction(5))
 
     def test_default_weight_is_one(self):
@@ -73,7 +72,7 @@ class TestParsing:
 
     def test_comments_and_blank_lines(self):
         s = parse_edge_list("# graph\nn 2\n\n0 1\n")
-        assert len(s) == 1
+        assert s.m_edges == 1
 
     @pytest.mark.parametrize("text,fragment", PARSE_ERRORS)
     def test_errors_name_the_line(self, text, fragment):
@@ -90,12 +89,17 @@ class TestParsing:
             n = int(rng.integers(2, 12))
             g = random_graph(rng, n, 0.4, weights=(1, 2, 7))
             text = f"n {n}\n" + "".join(f"{e.u} {e.v} {e.w}\n" for e in g.edges)
-            assert parse_edge_list(text) == EdgeStream(n, g.edges)
+            parsed = parse_edge_list(text)
+            assert (parsed.n, parsed.edges, parsed.adjacency) == (n, g.edges, g.adjacency)
 
     def test_stream_rejects_duplicates(self):
-        for build in (EdgeStream, WeightedGraph):
-            with pytest.raises(ValueError, match="duplicate"):
-                build(3, (E(0, 1), E(1, 0)))
+        with pytest.raises(ValueError, match="duplicate"):
+            WeightedGraph(3, (E(0, 1), E(1, 0)))
+
+    @pytest.mark.parametrize("edge", [E(0, 3), E(-1, 2)])
+    def test_graph_rejects_out_of_range_vertices(self, edge):
+        with pytest.raises(ValueError, match="out of range"):
+            WeightedGraph(3, (E(0, 1), edge))
 
 
 class TestParameters:

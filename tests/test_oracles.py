@@ -361,10 +361,14 @@ class TestConstructiveEnergies:
         # Stripped optimal stars on the DFS levels of one depth parity and
         # I/2 elsewhere: a d-leaf star earns (d+1)/2, and every other edge
         # joins two different factors with zero Bloch vectors and earns 1/4.
-        # The value is the energy of one parity's state.
-        for i in range(40):
-            rng = fresh_rng(177, i)
-            g = random_connected_graph(rng, int(rng.integers(2, 9)))
+        # The value is the energy of the better parity's state. On the path
+        # 1-4-0-3-2, rooted at 0, both parities have two leaves: the even
+        # one a single star centred at 0 (energy 2), the odd one two stars
+        # centred at 4 and 3 (energy 5/2).
+        path = unit_graph(5, (1, 4), (4, 0), (0, 3), (3, 2))
+        graphs = [path] + [random_connected_graph(rng, int(rng.integers(2, 9)))
+                           for rng in (fresh_rng(177, i) for i in range(40))]
+        for i, g in enumerate(graphs):
             dec, h = dfs_decomposition(g), dense_qmc_hamiltonian(g)
             energies = []
             for parity in (0, 1):
@@ -372,7 +376,8 @@ class TestConstructiveEnergies:
                 rho = product_density(g.n, [((c,) + leaves, stripped_star(len(leaves))) for c, leaves in stars])
                 energies.append(np.trace(h @ rho).real)
             value = float(oc.constructive_energies(g).dfs_level_value)
-            assert min(abs(e - value) for e in energies) <= 1e-9, (i, energies, value)
+            assert value == pytest.approx(max(energies), abs=1e-9), (i, energies, value)
+        assert oc.constructive_energies(path).dfs_level_value == Fraction(5, 2)
 
     def test_soundness_and_dfs_strength(self):
         for i in range(60):
