@@ -37,10 +37,7 @@ from .dihp import (
     separation_experiment,
 )
 from .fourier import (
-    BooleanTable,
-    FourierTable,
     ToyProtocol,
-    constraint_indicator_coeffs,
     hypercontractivity_sums,
     phibound_experiment,
     protocol_states,

@@ -98,20 +98,19 @@ def _check_matrix_convolution(rng, rec: CheckRecord, count: int) -> None:
         scalar_g = rng.random() < 0.25
         size = 1 << n
         if scalar_f:
-            f = fr.BooleanTable(n, "scalar", random_matrix(rng, size, 1)[:, 0])
+            f = random_matrix(rng, size, 1)[:, 0]
         else:
-            f = fr.BooleanTable(n, "matrix", np.array([random_matrix(rng, a, b) for _ in range(size)]))
+            f = np.array([random_matrix(rng, a, b) for _ in range(size)])
         g_rows = b if not scalar_f else int(rng.integers(1, 4))
         if scalar_g:
-            g = fr.BooleanTable(n, "scalar", random_matrix(rng, size, 1)[:, 0])
+            g = random_matrix(rng, size, 1)[:, 0]
         else:
-            g = fr.BooleanTable(n, "matrix", np.array([random_matrix(rng, g_rows, c) for _ in range(size)]))
+            g = np.array([random_matrix(rng, g_rows, c) for _ in range(size)])
         if scalar_f or scalar_g:
-            prod = np.array([fx * gx for fx, gx in zip(f.values, g.values)])
+            prod = np.array([fx * gx for fx, gx in zip(f, g)])
         else:
-            prod = f.values @ g.values
-        kind = "scalar" if scalar_f and scalar_g else "matrix"
-        direct = fr.transform(fr.BooleanTable(n, kind, prod)).coeffs
+            prod = f @ g
+        direct = fr.transform(prod)
         viaconv = fr.convolve(fr.transform(f), fr.transform(g))
         rec.add(float(np.max(np.abs(direct - viaconv))), 1e-9)
 
@@ -122,16 +121,10 @@ def _check_operator_convolution(rng, rec: CheckRecord, count: int) -> None:
         beta = int(rng.integers(1, 3))
         dim = 1 << beta
         size = 1 << n
-        fam = fr.BooleanTable(
-            n, "superoperator", np.array([random_channel(rng, dim, 2).matrix for _ in range(size)])
-        )
-        tab = fr.BooleanTable(n, "matrix", np.array([random_matrix(rng, dim, dim) for _ in range(size)]))
-        applied = fr.BooleanTable(
-            n,
-            "matrix",
-            np.array([(fam.values[x] @ tab.values[x].reshape(-1)).reshape(dim, dim) for x in range(size)]),
-        )
-        direct = fr.transform(applied).coeffs
+        fam = np.array([random_channel(rng, dim, 2).matrix for _ in range(size)])
+        tab = np.array([random_matrix(rng, dim, dim) for _ in range(size)])
+        applied = np.array([(fam[x] @ tab[x].reshape(-1)).reshape(dim, dim) for x in range(size)])
+        direct = fr.transform(applied)
         viaconv = fr.operator_convolve(fr.transform(fam), fr.transform(tab))
         rec.add(float(np.max(np.abs(direct - viaconv))), 1e-9)
 
@@ -140,9 +133,9 @@ def _check_parseval(rng, rec: CheckRecord, count: int) -> None:
     for _ in range(count):
         n = int(rng.integers(1, 9))
         vals = rng.normal(size=1 << n)
-        ft = fr.transform(fr.BooleanTable(n, "scalar", vals.astype(complex)))
+        coeffs = fr.transform(vals)
         lhs = float(np.mean(vals**2))
-        rhs = float(np.sum(np.abs(ft.coeffs) ** 2))
+        rhs = float(np.sum(np.abs(coeffs) ** 2))
         rec.add(abs(lhs - rhs), 1e-10)
 
 
@@ -152,7 +145,7 @@ def _check_linear_constraints(rng, rec: CheckRecord, count: int) -> None:
         k = int(rng.integers(1, 5))
         rows = _random_bit_rows(rng, k, n)
         y = int(rng.integers(0, 1 << k))
-        direct = fr.constraint_indicator_coeffs(rows, y, n).coeffs
+        direct = fr.transform(fr.constraint_indicator_table(rows, y, n))
         predicted = fr.predicted_constraint_coeffs(rows, y, n)
         rec.add(float(np.max(np.abs(direct - predicted))), 1e-10)
 
@@ -162,23 +155,22 @@ def _matrix_factoring(rng):
     k = int(rng.integers(1, n))
     rows = _random_bit_rows(rng, k, n)
     dim = int(rng.integers(1, 4))
-    return n, rows, "matrix", [random_matrix(rng, dim, dim) for _ in range(1 << k)]
+    return n, rows, [random_matrix(rng, dim, dim) for _ in range(1 << k)]
 
 
 def _channel_factoring(rng):
     n = int(rng.integers(2, 5))
     k = int(rng.integers(1, 3))
     rows = _random_bit_rows(rng, k, n)
-    return n, rows, "superoperator", [random_channel(rng, 2, 2).matrix for _ in range(1 << k)]
+    return n, rows, [random_channel(rng, 2, 2).matrix for _ in range(1 << k)]
 
 
 def _check_support(draw, rng, rec: CheckRecord, count: int) -> None:
     """A table x -> images[Mx] has Fourier support in the row space of M."""
     for _ in range(count):
-        n, rows, kind, images = draw(rng)
+        n, rows, images = draw(rng)
         values = np.array(images)[fr.z2_apply(rows, np.arange(1 << n))]
-        ft = fr.transform(fr.BooleanTable(n, kind, values))
-        rec.add(fr.support_defect(ft, fr.row_space_masks(rows)), 1e-10)
+        rec.add(fr.support_defect(fr.transform(values), fr.row_space(rows)), 1e-10)
 
 
 def _check_schatten_hc(rng, rec: CheckRecord, count: int) -> None:
@@ -189,11 +181,9 @@ def _check_schatten_hc(rng, rec: CheckRecord, count: int) -> None:
         # Unit-trace-norm entries: both the base^{1/p} and base^{2/p} forms
         # apply (base <= 1).
         bounded = raw / np.maximum(1.0, trace_norm(raw))[:, None, None]
-        tab = fr.BooleanTable(n, "matrix", bounded)
-        # The scale-free form (exponent 2/p) on the unnormalized table.
-        raw_tab = fr.BooleanTable(n, "matrix", raw)
         worst = 0.0
-        for table, power in ((tab, 1.0), (raw_tab, 2.0)):
+        # The raw table checks the scale-free form (exponent 2/p).
+        for table, power in ((bounded, 1.0), (raw, 2.0)):
             for p in (1.25, 1.5, 2.0):
                 lhs, base = fr.schatten_weighted_sum(table, p)
                 worst = max(worst, lhs - base ** (power / p))
@@ -203,9 +193,7 @@ def _check_schatten_hc(rng, rec: CheckRecord, count: int) -> None:
 def _check_trace_hc(rng, rec: CheckRecord, count: int) -> None:
     for _ in range(count):
         beta = int(rng.integers(1, 3))
-        tab = fr.BooleanTable(
-            4, "matrix", np.array([random_density(rng, 1 << beta).matrix for _ in range(16)])
-        )
+        tab = np.array([random_density(rng, 1 << beta).matrix for _ in range(16)])
         sums = fr.hypercontractivity_sums(tab, (0.0, 0.5, 1.0))
         rec.add(max(max(r.lhs - r.bound for r in sums), 0.0), 1e-9)
 
@@ -213,23 +201,20 @@ def _check_trace_hc(rng, rec: CheckRecord, count: int) -> None:
 def _check_mass_transfer(rng, rec: CheckRecord, count: int) -> None:
     for _ in range(count):
         p = random_toy_protocol(rng)
-        tables = fr.protocol_states(p)
+        states = fr.protocol_states(p)
         worst = 0.0
         for t, rows in enumerate(p.rows):
             labels = fr.z2_apply(rows, np.arange(1 << p.n))
-            fam = fr.channel_family_table(p.n, lambda x: p.channels[t][labels[x]])
-            a_hat = fr.transform(fam)
-            f_prev_hat = fr.transform(tables[t])
-            f_next_hat = fr.transform(tables[t + 1])
-            masks = [fr.row_combination(rows, s) for s in range(1 << p.alpha_n)]
+            a_hat = fr.transform(fr.channel_family_table(p.n, lambda x: p.channels[t][labels[x]]))
+            f_prev_hat = fr.transform(states[t])
+            f_next_hat = fr.transform(states[t + 1])
+            masks = fr.row_space(rows)
             dim = p.dim
             for s_idx in range(1 << p.n):
                 acc = np.zeros((dim, dim), dtype=complex)
                 for mask in masks:
-                    acc += (
-                        a_hat.coeffs[mask] @ f_prev_hat.coeffs[mask ^ s_idx].reshape(-1)
-                    ).reshape(dim, dim)
-                worst = max(worst, float(np.max(np.abs(acc - f_next_hat.coeffs[s_idx]))))
+                    acc += (a_hat[mask] @ f_prev_hat[mask ^ s_idx].reshape(-1)).reshape(dim, dim)
+                worst = max(worst, float(np.max(np.abs(acc - f_next_hat[s_idx]))))
         rec.add(worst, 1e-9)
 
 

@@ -1,12 +1,16 @@
 """Dense complex linear algebra for few-qubit states and channels.
 
 Density matrices are vectorized row-major, so a channel with Kraus operators
-``K_i`` has superoperator matrix ``sum_i K_i (x) conj(K_i)``.
+``K_i`` has superoperator matrix ``sum_i K_i (x) conj(K_i)``. Every
+``Superoperator`` is validated as a channel; linear maps that are not
+channels, such as Fourier coefficients of channel families, stay plain
+arrays. Schatten norms take singular values from an SVD, which stays
+accurate for rank-deficient matrices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -20,7 +24,7 @@ def hermitian_defect(a: np.ndarray) -> float:
 
 
 def trace_norm(a: np.ndarray):
-    """Schatten 1-norm: the sum of singular values, via the spectrum of A†A.
+    """Schatten 1-norm: the sum of singular values.
 
     One square matrix gives a float; a stack of them (the last two axes)
     gives an array of norms.
@@ -35,8 +39,7 @@ def schatten_norm(a: np.ndarray, p: float):
     """Schatten p-norm for p >= 1, of one matrix (a float) or of each matrix
     in a stack over the last two axes (an array)."""
     a = np.asarray(a, dtype=complex)
-    gram_eigs = np.linalg.eigvalsh(np.swapaxes(a.conj(), -1, -2) @ a)
-    sigma = np.sqrt(np.clip(gram_eigs, 0.0, None))
+    sigma = np.linalg.svd(a, compute_uv=False)
     norms = np.sum(sigma, axis=-1) if p == 1 else np.sum(sigma**p, axis=-1) ** (1.0 / p)
     return float(norms) if a.ndim == 2 else norms
 
@@ -71,14 +74,10 @@ class DensityMatrix:
 
 
 class Superoperator:
-    """Linear map on density matrices of beta qubits, stored as a 4^beta matrix.
+    """Quantum channel on beta qubits, stored as a 4^beta matrix and validated
+    as completely positive and trace preserving."""
 
-    ``is_channel`` marks maps validated as completely positive and trace
-    preserving. Fourier coefficients of channel families are generally not
-    channels themselves, so unflagged instances are ordinary linear maps.
-    """
-
-    def __init__(self, matrix: np.ndarray, is_channel: bool = False):
+    def __init__(self, matrix: np.ndarray):
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("superoperator matrix must be square")
@@ -89,23 +88,21 @@ class Superoperator:
         _qubit_count(d)
         self.matrix = m
         self.dim = d
-        self.is_channel = bool(is_channel)
-        if self.is_channel:
-            cp = self.min_choi_eigenvalue()
-            if cp < -PSD_TOL:
-                raise ValueError(f"not completely positive: Choi eigenvalue {cp:.3e}")
-            tp = self.trace_preserving_defect()
-            if tp > TRACE_TOL:
-                raise ValueError(f"not trace preserving: defect {tp:.3e}")
+        cp = self.min_choi_eigenvalue()
+        if cp < -PSD_TOL:
+            raise ValueError(f"not completely positive: Choi eigenvalue {cp:.3e}")
+        tp = self.trace_preserving_defect()
+        if tp > TRACE_TOL:
+            raise ValueError(f"not trace preserving: defect {tp:.3e}")
 
     @classmethod
-    def from_kraus(cls, kraus: Iterable[np.ndarray], is_channel: bool = True) -> "Superoperator":
+    def from_kraus(cls, kraus: Iterable[np.ndarray]) -> "Superoperator":
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         d = ops[0].shape[0]
         m = np.zeros((d * d, d * d), dtype=complex)
         for k in ops:
             m += np.kron(k, k.conj())
-        return cls(m, is_channel=is_channel)
+        return cls(m)
 
     @classmethod
     def identity(cls, dim: int) -> "Superoperator":
@@ -150,9 +147,8 @@ class Superoperator:
 # ---------------------------------------------------------------------------
 
 
-def random_density(rng: np.random.Generator, dim: int, rank: Optional[int] = None) -> DensityMatrix:
-    rank = rank or dim
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density(rng: np.random.Generator, dim: int) -> DensityMatrix:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return DensityMatrix(rho / np.trace(rho))
 

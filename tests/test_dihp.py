@@ -1,9 +1,8 @@
-import numpy as np
 import pytest
 
 from conftest import ConstantAlgorithm
 from qmcstream import dihp
-from qmcstream.oracles import max_cut_bruteforce, qmc_exact
+from qmcstream.oracles import max_cut_bruteforce
 
 
 class TestSampling:

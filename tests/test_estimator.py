@@ -7,7 +7,6 @@ import pytest
 from conftest import fresh_rng, random_stream
 from qmcstream import estimator as est
 from qmcstream.graph import WeightedEdge, WeightedGraph, max_incident_sum, total_weight
-from qmcstream.rng import substream
 
 E = WeightedEdge
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import fresh_rng
+from qmcstream import cli
 from qmcstream import fourier as fr
 from qmcstream import linalg as la
 from qmcstream.fourier_suite import (
@@ -15,17 +16,16 @@ from qmcstream.fourier_suite import (
 class TestTransform:
     def test_character_concentrates(self):
         s0 = 0b0110
-        tab = fr.BooleanTable(4, "scalar", np.array([(-1.0) ** bin(x & s0).count("1") for x in range(16)]))
-        ft = fr.transform(tab)
+        coeffs = fr.transform(np.array([(-1.0) ** bin(x & s0).count("1") for x in range(16)]))
         expected = np.zeros(16)
         expected[s0] = 1.0
-        assert np.allclose(ft.coeffs, expected, atol=1e-12)
+        assert np.allclose(coeffs, expected, atol=1e-12)
 
     def test_constant_matrix_table(self):
         rho = la.random_density(fresh_rng(70), 4).matrix
-        ft = fr.transform(fr.BooleanTable(2, "matrix", np.array([rho] * 4)))
-        assert np.allclose(ft.coeffs[0], rho)
-        assert np.max(np.abs(ft.coeffs[1:])) < 1e-14
+        coeffs = fr.transform(np.array([rho] * 4))
+        assert np.allclose(coeffs[0], rho)
+        assert np.max(np.abs(coeffs[1:])) < 1e-14
 
     def test_roundtrip_on_random_matrix_tables(self):
         worst = 0.0
@@ -33,37 +33,35 @@ class TestTransform:
             rng = fresh_rng(71, i)
             n = int(rng.integers(1, 5))
             dim = int(rng.integers(1, 4))
-            tab = fr.BooleanTable(
-                n, "matrix", np.array([la.random_matrix(rng, dim, dim) for _ in range(1 << n)])
-            )
-            twice = fr.transform(fr.BooleanTable(n, "matrix", fr.transform(tab).coeffs))
-            worst = max(worst, float(np.max(np.abs(twice.coeffs * (1 << n) - tab.values))))
+            tab = np.array([la.random_matrix(rng, dim, dim) for _ in range(1 << n)])
+            twice = fr.transform(fr.transform(tab))
+            worst = max(worst, float(np.max(np.abs(twice * (1 << n) - tab))))
         assert worst <= 1e-10
 
     def test_size_caps(self):
         with pytest.raises(ValueError, match="capped"):
-            fr.BooleanTable(13, "scalar", np.zeros(1 << 13, dtype=complex))
-        with pytest.raises(ValueError, match="capped"):
-            fr.BooleanTable(9, "matrix", np.zeros((1 << 9, 2, 2), dtype=complex))
+            fr.transform(np.zeros(1 << 13, dtype=complex))
+        with pytest.raises(ValueError, match="power of two"):
+            fr.transform(np.zeros((6, 2, 2), dtype=complex))
 
 
 class TestLinearConstraints:
     def test_parity_constraint_two_vars(self):
-        ft = fr.constraint_indicator_coeffs([0b11], 0, 2)
-        assert ft.coeffs[0b00] == pytest.approx(0.5)
-        assert ft.coeffs[0b11] == pytest.approx(0.5)
-        assert abs(ft.coeffs[0b01]) + abs(ft.coeffs[0b10]) < 1e-14
+        coeffs = fr.transform(fr.constraint_indicator_table([0b11], 0, 2))
+        assert coeffs[0b00] == pytest.approx(0.5)
+        assert coeffs[0b11] == pytest.approx(0.5)
+        assert abs(coeffs[0b01]) + abs(coeffs[0b10]) < 1e-14
 
     def test_unsatisfiable_system_vanishes(self):
-        ft = fr.constraint_indicator_coeffs([0b11, 0b11], 0b01, 2)
-        assert np.max(np.abs(ft.coeffs)) < 1e-14
+        coeffs = fr.transform(fr.constraint_indicator_table([0b11, 0b11], 0b01, 2))
+        assert np.max(np.abs(coeffs)) < 1e-14
 
     def test_point_indicator(self):
         n = 3
         rows = [0b001, 0b010, 0b100]
         y = 0b101
-        ft = fr.constraint_indicator_coeffs(rows, y, n)
-        assert np.allclose(np.abs(ft.coeffs), 1 / 2**n)
+        coeffs = fr.transform(fr.constraint_indicator_table(rows, y, n))
+        assert np.allclose(np.abs(coeffs), 1 / 2**n)
 
     def test_closed_form_matches_direct(self):
         for i in range(60):
@@ -72,7 +70,7 @@ class TestLinearConstraints:
             k = int(rng.integers(1, 5))
             rows = [int(rng.integers(0, 1 << n)) for _ in range(k)]
             y = int(rng.integers(0, 1 << k))
-            direct = fr.constraint_indicator_coeffs(rows, y, n).coeffs
+            direct = fr.transform(fr.constraint_indicator_table(rows, y, n))
             assert np.max(np.abs(direct - fr.predicted_constraint_coeffs(rows, y, n))) < 1e-12
 
 
@@ -89,6 +87,12 @@ class TestZ2Apply:
             assert fr.z2_apply(rows, np.arange(1 << n)).tolist() == expect
         assert fr.popcounts(8).tolist() == [bin(x).count("1") for x in range(256)]
 
+    def test_row_space_lists_masks_in_order(self):
+        rows = [0b0011, 0b0110, 0b0011]
+        expect = [0, 0b0011, 0b0110, 0b0101, 0b0011, 0, 0b0101, 0b0110]
+        assert fr.row_space(rows).tolist() == expect
+        assert fr.row_space([]).tolist() == [0]
+
     def test_protocol_rows_give_matched_edge_labels(self):
         for i in range(20):
             p = random_toy_protocol(fresh_rng(175, i))
@@ -103,40 +107,33 @@ class TestZ2Apply:
 class TestChannelFourier:
     def test_constant_family(self):
         ch = la.random_channel(fresh_rng(74), 2, 2)
-        fam = fr.channel_family_table(2, lambda x: ch)
-        ft = fr.transform(fam)
-        assert np.allclose(ft.coeffs[0], ch.matrix)
-        assert np.max(np.abs(ft.coeffs[1:])) < 1e-14
+        coeffs = fr.transform(fr.channel_family_table(2, lambda x: ch))
+        assert np.allclose(coeffs[0], ch.matrix)
+        assert np.max(np.abs(coeffs[1:])) < 1e-14
 
     def test_bit_controlled_flip_supported_on_two_masks(self):
         x_gate = la.Superoperator.from_unitary(np.array([[0, 1], [1, 0]], dtype=complex))
         ident = la.Superoperator.identity(2)
-        fam = fr.channel_family_table(3, lambda x: x_gate if x & 1 else ident)
-        ft = fr.transform(fam)
-        assert fr.support_defect(ft, {0b000, 0b001}) < 1e-14
-        assert la.trace_norm(ft.coeffs[1]) > 0.1
+        coeffs = fr.transform(fr.channel_family_table(3, lambda x: x_gate if x & 1 else ident))
+        assert fr.support_defect(coeffs, [0b000, 0b001]) < 1e-14
+        assert la.trace_norm(coeffs[1]) > 0.1
 
     def test_family_factoring_through_mask(self):
         rng = fresh_rng(75)
         rows = [0b0110]
         images = [la.random_channel(rng, 2, 2).matrix for _ in range(2)]
-        fam = fr.BooleanTable(
-            4,
-            "superoperator",
-            np.array([images[bin(x & rows[0]).count("1") & 1] for x in range(16)]),
-        )
-        ft = fr.transform(fam)
-        assert fr.support_defect(ft, fr.row_space_masks(rows)) < 1e-12
+        fam = np.array([images[bin(x & rows[0]).count("1") & 1] for x in range(16)])
+        assert fr.support_defect(fr.transform(fam), fr.row_space(rows)) < 1e-12
 
 
 class TestToyProtocols:
     def test_identity_protocol_states_are_constant(self):
         ident = la.Superoperator.identity(2)
         p = fr.ToyProtocol(2, 1, 1, (((0, 1),), ((0, 1),)), ((ident, ident), (ident, ident)))
-        tables = fr.protocol_states(p)
-        assert len(tables) == 3
-        for tab in tables:
-            assert np.allclose(tab.values, tables[0].values)
+        states = fr.protocol_states(p)
+        assert states.shape == (3, 4, 2, 2)
+        for tab in states:
+            assert np.allclose(tab, states[0])
         res = fr.phibound_experiment(p)
         assert res.lhs == pytest.approx(0.0, abs=1e-12)
         assert res.rhs == pytest.approx(0.0, abs=1e-12)
@@ -148,9 +145,9 @@ class TestToyProtocols:
         ident = la.Superoperator.identity(2)
         p = fr.ToyProtocol(2, 1, 1, (((0, 1),), ((0, 1),)), (write, (ident, ident)))
         f1 = fr.transform(fr.protocol_states(p)[1])
-        assert la.trace_norm(f1.coeffs[0b11]) == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(f1.coeffs[0b01], 0)
-        assert np.allclose(f1.coeffs[0b10], 0)
+        assert la.trace_norm(f1[0b11]) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(f1[0b01], 0)
+        assert np.allclose(f1[0b10], 0)
 
     def test_parity_forwarding_is_tight(self):
         res = fr.phibound_experiment(fr.parity_forwarding_protocol())
@@ -170,23 +167,25 @@ class TestToyProtocols:
             res = fr.phibound_experiment(random_toy_protocol(fresh_rng(76, i)))
             assert res.lhs <= res.rhs + 1e-9
 
+    def test_one_channel_row_per_player(self):
+        ident = la.Superoperator.identity(2)
+        with pytest.raises(ValueError, match="shorter"):
+            fr.ToyProtocol(2, 1, 1, (((0, 1),), ((0, 1),)), ((ident, ident),))
+
     def test_channel_validation(self):
-        bad = la.Superoperator(np.eye(4) * 2)  # not trace preserving
-        with pytest.raises(ValueError, match="non-channel"):
-            fr.ToyProtocol(2, 1, 1, (((0, 1),),), ((bad, bad),))
+        with pytest.raises(ValueError, match="not trace preserving"):
+            la.Superoperator(np.eye(4) * 2)
 
 
 class TestHypercontractivity:
     def _density_table(self, seed, n=4, beta=2):
         rng = fresh_rng(77, seed)
-        return fr.BooleanTable(
-            n, "matrix", np.array([la.random_density(rng, 1 << beta).matrix for _ in range(1 << n)])
-        )
+        return np.array([la.random_density(rng, 1 << beta).matrix for _ in range(1 << n)])
 
     def test_delta_zero_is_average_norm(self):
         tab = self._density_table(0)
         (rec,) = fr.hypercontractivity_sums(tab, [0.0])
-        mean = np.mean(tab.values, axis=0)
+        mean = np.mean(tab, axis=0)
         assert rec.lhs == pytest.approx(la.trace_norm(mean) ** 2, abs=1e-12)
         assert rec.lhs <= 1 + 1e-12
 
@@ -208,7 +207,7 @@ class TestHypercontractivity:
             assert fr.hypercontractivity_sums(tab, [rec.delta]) == [rec]
 
     def test_precondition_enforced(self):
-        tab = fr.BooleanTable(2, "matrix", np.array([np.eye(2, dtype=complex) * 3] * 4))
+        tab = np.array([np.eye(2, dtype=complex) * 3] * 4)
         with pytest.raises(ValueError, match="trace norm"):
             fr.hypercontractivity_sums(tab, [0.5])
 
@@ -238,3 +237,19 @@ class TestVerificationSuite:
         report = verify_fourier_lemmas(seed=1, quick=True)
         for name, _runner, _full, quick in _CHECKS:
             assert report["checks"][name]["count"] == quick, name
+
+    def test_violated_bound_is_reported_not_raised(self, monkeypatch):
+        # A phi-bound result with lhs > rhs must show as one violation in
+        # the report and as exit status 1, not as an exception.
+        sentinel = object()
+        real = fr.phibound_experiment
+        monkeypatch.setattr(fr, "parity_forwarding_protocol", lambda: sentinel)
+        monkeypatch.setattr(
+            fr,
+            "phibound_experiment",
+            lambda p: fr.PhiBoundResult(lhs=1.0, rhs=0.5) if p is sentinel else real(p),
+        )
+        report = verify_fourier_lemmas(seed=1, quick=True)
+        assert report["checks"]["phi_bound"]["violations"] == 1
+        assert not report["all_passed"]
+        assert cli.main(["fourier-verify", "--quick"]) == 1
