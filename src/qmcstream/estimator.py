@@ -16,10 +16,12 @@ replacement in the chunk fell, if anywhere, which reproduces the per-edge
 process exactly in distribution. Replaced reservoirs are reset to their new
 candidate; then every reservoir takes the same update from one incidence
 lookup: the heaviest chunk edge at its sampled endpoint strictly after its
-candidate (after the chunk's start, for a kept reservoir) raises best_after
-and marks the reservoir superseded if it outweighs the candidate. Storage
-stays at a constant number of words per reservoir no matter how long the
-stream is; the exact m counter grows only with rational weights (README).
+candidate (after the chunk's start, for a kept reservoir) raises best_after.
+Each reservoir keeps three words (sampled endpoint, candidate weight,
+best_after): best_after is the running maximum since the last replacement,
+so a heavier later edge shows as best_after > candidate weight and scores
+0. Storage stays constant no matter how long the stream is; the exact m
+counter grows only with rational weights (README).
 """
 
 from __future__ import annotations
@@ -148,12 +150,9 @@ class EstimatorBank:
         self.chunk_size = int(chunk_size)
         size = self.groups * self.per_group
         self._rng = substream(seed, 0xE57)
-        self._cand_eu = np.zeros(size, dtype=np.int64)
-        self._cand_ev = np.zeros(size, dtype=np.int64)
         self._cand_v = np.zeros(size, dtype=np.int64)
         self._cand_w = np.zeros(size)
         self._best_after = np.zeros(size)
-        self._superseded = np.zeros(size, dtype=bool)
         self._weight_seen = 0.0
         self.m_exact = Fraction(0)
         self.edges_seen = 0
@@ -206,26 +205,21 @@ class EstimatorBank:
         replaced = cat < c
         ridx = cat[replaced]
         pick_v = self._rng.integers(0, 2, size=len(ridx))
-        self._cand_eu[replaced] = eu[ridx]
-        self._cand_ev[replaced] = ev[ridx]
         self._cand_v[replaced] = np.where(pick_v == 0, eu[ridx], ev[ridx])
         self._cand_w[replaced] = ew[ridx]
         self._best_after[replaced] = 0.0
-        self._superseded[replaced] = False
 
         ba = _incident_max_after(eu, ev, ew, self._cand_v, np.where(replaced, cat, -1))
         np.maximum(self._best_after, ba, out=self._best_after)
-        self._superseded |= ba > self._cand_w
 
     def sample_values(self) -> np.ndarray:
         """Finalized X per reservoir (flushes pending edges)."""
         self.flush()
         if self._weight_seen <= 0:
             return np.zeros(self.size)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            partial = 1.0 - self._best_after / np.where(self._cand_w > 0, self._cand_w, 1.0)
-        x = np.where(self._best_after == 0, 1.0, partial)
-        return np.where(self._superseded, 0.0, x)
+        # After any edge every candidate weight is positive; a heavier later
+        # edge drives 1 - best_after / w below 0, which clips to the 0 score.
+        return np.clip(1.0 - self._best_after / self._cand_w, 0.0, 1.0)
 
     def w_estimate(self) -> float:
         """Median over groups of 2m times the group mean, clamped to [0, 2m]."""
@@ -236,21 +230,15 @@ class EstimatorBank:
         group_means = x.reshape(self.groups, self.per_group).mean(axis=1)
         return float(np.clip(np.median(2.0 * m * group_means), 0.0, 2.0 * m))
 
-    def candidate_edges(self) -> np.ndarray:
-        """(size, 2) sorted endpoint pairs of current candidates (flushes)."""
-        self.flush()
-        lo = np.minimum(self._cand_eu, self._cand_ev)
-        hi = np.maximum(self._cand_eu, self._cand_ev)
-        return np.stack([lo, hi], axis=1)
-
     def words_used(self) -> int:
         """Persistent storage in machine words; constant in stream length.
 
-        Six words per reservoir, eight scalars, and the three-column chunk
-        buffer counted at its capacity, so the count is the same whether or
-        not edges are pending. A pure query: it flushes nothing.
+        Three words per reservoir (endpoint, candidate weight, best_after),
+        eight scalars, and the three-column chunk buffer counted at its
+        capacity, so the count is the same whether or not edges are pending.
+        A pure query: it flushes nothing.
         """
-        return 6 * self.size + 8 + 3 * self.chunk_size
+        return 3 * self.size + 8 + 3 * self.chunk_size
 
 
 def _incident_max_after(eu, ev, ew, vert, after):
@@ -289,9 +277,6 @@ def _incident_max_after(eu, ev, ew, vert, after):
 @dataclass(frozen=True)
 class WEstimate:
     w_hat: float
-    m: Fraction
-    groups: int
-    per_group: int
     words_used: int
 
 
@@ -299,7 +284,7 @@ def estimate_w(stream: Iterable[WeightedEdge], epsilon: float, delta: float, see
     """One-pass estimate of W within epsilon*m additively, w.p. >= 1 - delta."""
     bank = EstimatorBank(epsilon, delta, seed)
     bank.process_stream(stream)
-    return WEstimate(bank.w_estimate(), bank.m_exact, bank.groups, bank.per_group, bank.words_used())
+    return WEstimate(bank.w_estimate(), bank.words_used())
 
 
 @dataclass(frozen=True)

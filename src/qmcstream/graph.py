@@ -314,21 +314,19 @@ def _graph_forest(g: WeightedGraph) -> list[tuple[int, Optional[int]]]:
 
 @dataclass(frozen=True)
 class DfsDecomposition:
-    """Spanning DFS forest with depth levels and per-level star partition.
+    """Spanning DFS forest with its per-level star partition.
 
-    Level k holds the tree edges joining depth-k vertices to their
-    depth-(k+1) children; each level is a disjoint union of stars centred on
-    the depth-k endpoints, and no non-tree edge joins two vertices incident
-    to edges of the same level.
+    The tree edge of a non-root v is (parent[v], v), at level depth[parent[v]].
+    Level k is a disjoint union of stars centred on the depth-k vertices
+    with their depth-(k+1) children as leaves, and no non-tree edge joins
+    two vertices of the same level's stars.
     """
 
     parent: tuple[Optional[int], ...]
     depth: tuple[int, ...]
     component: tuple[int, ...]  # -1 for isolated vertices
     roots: tuple[int, ...]
-    tree_edges: tuple[tuple[int, int], ...]  # (parent, child)
     non_tree_edges: tuple[tuple[int, int], ...]
-    levels: tuple[tuple[tuple[int, int], ...], ...]
     stars: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
 
 
@@ -336,45 +334,32 @@ def dfs_decomposition(g: WeightedGraph) -> DfsDecomposition:
     """The DFS forest of g (see dfs_forest) with ascending child order, so
     it and everything derived from it are deterministic.
 
-    Tree edges keep discovery order and level k lists, in that order, the
-    tree edges whose parent has depth k. Every non-tree edge joins an
-    ancestor to a descendant at least two levels down, which is why no
-    non-tree edge joins two vertices of one level's stars.
+    Level k's stars are the depth-k parents, ascending, each with its
+    children ascending. Every non-tree edge joins an ancestor to a
+    descendant at least two levels down, which is why no non-tree edge
+    joins two vertices of one level's stars.
     """
     parent: list[Optional[int]] = [None] * g.n
     depth = [-1] * g.n
     component = [-1] * g.n
     roots: list[int] = []
-    tree_edges: list[tuple[int, int]] = []
-    levels: list[list[tuple[int, int]]] = []
+    levels: list[dict[int, list[int]]] = []  # levels[k]: depth-k centre -> its children
     for v, p in _graph_forest(g):
         if p is None:
             roots.append(v)
             depth[v], component[v] = 0, len(roots) - 1
             continue
         parent[v], depth[v], component[v] = p, depth[p] + 1, component[p]
-        tree_edges.append((p, v))
         if depth[p] == len(levels):
-            levels.append([])
-        levels[depth[p]].append((p, v))
+            levels.append({})
+        levels[depth[p]].setdefault(p, []).append(v)
 
     non_tree = tuple(e.pair for e in g.edges if parent[e.u] != e.v and parent[e.v] != e.u)
-    stars = []
-    for level in levels:
-        centers: dict[int, list[int]] = {}
-        for p, c in level:
-            centers.setdefault(p, []).append(c)
-        stars.append(tuple((center, tuple(sorted(leaves))) for center, leaves in sorted(centers.items())))
-    return DfsDecomposition(
-        tuple(parent),
-        tuple(depth),
-        tuple(component),
-        tuple(roots),
-        tuple(tree_edges),
-        non_tree,
-        tuple(tuple(level) for level in levels),
-        tuple(stars),
+    stars = tuple(
+        tuple((center, tuple(sorted(leaves))) for center, leaves in sorted(level.items()))
+        for level in levels
     )
+    return DfsDecomposition(tuple(parent), tuple(depth), tuple(component), tuple(roots), non_tree, stars)
 
 
 @dataclass(frozen=True)

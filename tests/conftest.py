@@ -135,11 +135,21 @@ def cut_value(g: WeightedGraph, sides) -> Fraction:
     return sum((e.w for e in g.edges if sides[e.u] != sides[e.v]), Fraction(0))
 
 
+def tree_levels(dec) -> list[list[tuple[int, int]]]:
+    """Tree edges (parent[v], v) of a DfsDecomposition, grouped by level
+    depth[parent[v]], children ascending within a level."""
+    levels = [[] for _ in range(max(dec.depth, default=0))]
+    for v, p in enumerate(dec.parent):
+        if p is not None:
+            levels[dec.depth[p]].append((p, v))
+    return levels
+
+
 def level_separation_violations(dec) -> list[tuple[int, tuple[int, int]]]:
     """Non-tree edges of a DfsDecomposition whose endpoints both touch the
     same level's stars (dfs_decomposition promises there are none)."""
     out = []
-    for k, level in enumerate(dec.levels):
+    for k, level in enumerate(tree_levels(dec)):
         touched = {v for edge in level for v in edge}
         out.extend((k, (u, v)) for u, v in dec.non_tree_edges if u in touched and v in touched)
     return out

@@ -228,11 +228,11 @@ def test_criterion_11_space_discipline(tmp_path):
     side = 400
     for i in range(100_000):
         long_bank.process_edge(E(i % side, side + (i // side) % side))
-    words = 6 * short_bank.size + 8 + 3 * short_bank.chunk_size
+    words = 3 * short_bank.size + 8 + 3 * short_bank.chunk_size
     assert short_bank.words_used() == long_bank.words_used() == words
 
     # A million-edge stream through the CLI stays within the documented
-    # 6*K*B + 8 + 3*chunk words of estimator state.
+    # 3*K*B + 8 + 3*chunk words of estimator state.
     n_side = 1000
     path = tmp_path / "million.edges"
     with open(path, "w") as fh:
@@ -249,7 +249,7 @@ def test_criterion_11_space_discipline(tmp_path):
     report = json.loads(proc.stdout)
     k, b = amplification_plan(0.5 / 4.0, 0.2)
     assert report["edges_seen"] == 1_000_000
-    assert report["words_used"] == 6 * k * b + 8 + 3 * DEFAULT_CHUNK
+    assert report["words_used"] == 3 * k * b + 8 + 3 * DEFAULT_CHUNK
     assert report["m"] == 1_000_000.0
-    _report(11, f"bank words constant at 6KB+8+3C = {6 * k * b + 8 + 3 * DEFAULT_CHUNK} across 10 and 1e5 edge "
+    _report(11, f"bank words constant at 3KB+8+3C = {3 * k * b + 8 + 3 * DEFAULT_CHUNK} across 10 and 1e5 edge "
                 f"streams; 1e6-edge CLI run used {report['words_used']} words")

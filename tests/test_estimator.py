@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -123,38 +124,50 @@ class TestBankAgainstReference:
     """The chunked bank must match the sequential reservoir in distribution."""
 
     def test_sample_value_distributions_match(self):
-        s = stream(4, (0, 1, 3), (1, 2, 1), (0, 2, 2), (2, 3, 4))
-        ref_counts = {}
+        # The second stream has ties: (0,1,2) at endpoint 1 and (1,2,2) at
+        # endpoint 2 each see a later incident edge of equal weight, which
+        # scores 0 without superseding.
+        cases = (  # (stream, reference rng path, bank seed)
+            (stream(4, (0, 1, 3), (1, 2, 1), (0, 2, 2), (2, 3, 4)), (67,), 9),
+            (stream(4, (0, 1, 2), (1, 2, 2), (0, 2, 1), (2, 3, 2)), (67, 1), 10),
+        )
         trials = 6000
-        for i in range(trials):
-            r = est.ReservoirState()
-            rng = fresh_rng(67, i)
-            for e in s.edges:
-                r.process_edge(e, rng)
-            x = float(est.finalize_sample(r))
-            ref_counts[round(x, 9)] = ref_counts.get(round(x, 9), 0) + 1
-        bank = est.EstimatorBank(0.35, 0.3, seed=9, chunk_size=3)
-        bank.process_stream(s.edges)
-        xs = bank.sample_values()
-        bank_counts = {}
-        for x in np.round(xs, 9):
-            bank_counts[float(x)] = bank_counts.get(float(x), 0) + 1
-        assert set(bank_counts) == set(ref_counts)
-        for value, count in ref_counts.items():
-            p_ref = count / trials
-            p_bank = bank_counts[value] / bank.size
-            # three-sigma agreement between two Monte Carlo estimates
-            sigma = (p_ref * (1 - p_ref) / trials + p_bank * (1 - p_bank) / bank.size) ** 0.5
-            assert abs(p_ref - p_bank) < 4 * max(sigma, 1e-3)
+        for s, path, seed in cases:
+            ref_counts = {}
+            for i in range(trials):
+                r = est.ReservoirState()
+                rng = fresh_rng(*path, i)
+                for e in s.edges:
+                    r.process_edge(e, rng)
+                x = float(est.finalize_sample(r))
+                ref_counts[round(x, 9)] = ref_counts.get(round(x, 9), 0) + 1
+            bank = est.EstimatorBank(0.35, 0.3, seed=seed, chunk_size=3)
+            bank.process_stream(s.edges)
+            xs = bank.sample_values()
+            bank_counts = {}
+            for x in np.round(xs, 9):
+                bank_counts[float(x)] = bank_counts.get(float(x), 0) + 1
+            assert set(bank_counts) == set(ref_counts)
+            for value, count in ref_counts.items():
+                p_ref = count / trials
+                p_bank = bank_counts[value] / bank.size
+                # three-sigma agreement between two Monte Carlo estimates
+                sigma = (p_ref * (1 - p_ref) / trials + p_bank * (1 - p_bank) / bank.size) ** 0.5
+                assert abs(p_ref - p_bank) < 4 * max(sigma, 1e-3)
+        # Exact law of the tie stream (m = 7): only (0,1,2) at endpoint 0
+        # scores 1/2, while the tied and the superseded samples score 0.
+        assert ref_counts.keys() == {0.0, 0.5, 1.0}
+        assert abs(bank_counts[0.0] / bank.size - 5 / 14) < 5 * (5 / 14 * 9 / 14 / bank.size) ** 0.5
 
     def test_candidate_distribution_proportional_to_weight(self):
         s = stream(4, (0, 1, 1), (1, 2, 2), (2, 3, 5))
         bank = est.EstimatorBank(0.2, 0.2, seed=3, chunk_size=2)
         bank.process_stream(s.edges)
-        cands = bank.candidate_edges()
+        bank.flush()
         m = 8.0
-        for pair, w in (((0, 1), 1), ((1, 2), 2), ((2, 3), 5)):
-            freq = float(np.mean((cands[:, 0] == pair[0]) & (cands[:, 1] == pair[1])))
+        # the weights are distinct, so a candidate's weight names its edge
+        for w in (1, 2, 5):
+            freq = float(np.mean(bank._cand_w == w))
             sigma = (w / m * (1 - w / m) / bank.size) ** 0.5
             assert abs(freq - w / m) < 5 * sigma
 
@@ -168,6 +181,53 @@ class TestBankAgainstReference:
         exact = float(est.expectation_oracle(s.edges))
         for m in means:
             assert abs(m - exact) < 0.02
+
+
+class UniformRecorder:
+    """A Generator stand-in that keeps every array of uniforms it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.uniforms = []
+
+    def random(self, size):
+        u = self.rng.random(size)
+        self.uniforms.append(u)
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def replay_arrivals(edges, chunk, uniforms):
+    """Arrival index of each reservoir's candidate (-1 for none), replayed
+    from the uniforms of each chunk's flush in exact integer arithmetic.
+
+    A chunk's draw U picks the last replacement at position j iff the
+    chunk's prefix weights satisfy before_j <= U * W_end < through_j, and
+    no replacement iff U * W_end >= the chunk's total. Generator.random
+    returns U = a / 2^53 for an integer a, and scaling every weight by the
+    lcm d of the denominators makes the test an integer comparison.
+    """
+    d = math.lcm(*(e.w.denominator for e in edges))
+    arrival = np.full(len(uniforms[0]), -1)
+    seen = 0
+    starts = range(0, len(edges), chunk)
+    assert len(uniforms) == len(starts)  # one draw per flushed chunk
+    for start, u in zip(starts, uniforms):
+        part = edges[start : start + chunk]
+        through = list(itertools.accumulate(int(e.w * d) for e in part))
+        seen += through[-1]
+        a = u * 2.0**53
+        assert np.array_equal(a, np.floor(a))
+        cat = np.searchsorted(
+            np.array(through, dtype=object) * 2**53,
+            a.astype(np.int64).astype(object) * seen,
+            side="right",
+        )
+        replaced = cat < len(part)
+        arrival[replaced] = start + cat[replaced].astype(np.int64)
+    return arrival
 
 
 class TestFlushExact:
@@ -186,7 +246,9 @@ class TestFlushExact:
                 for u, v in pairs[: int(rng.integers(10, 41))]
             ]
             bank = est.EstimatorBank(0.5, 0.3, seed=trial, chunk_size=chunk)
+            bank._rng = UniformRecorder(bank._rng)
             bank.process_stream(edges)
+            bank.flush()
             # later[k, v]: max weight at v over the edges after arrival k
             later = np.zeros((len(edges), n))
             for k in range(len(edges) - 2, -1, -1):
@@ -194,14 +256,13 @@ class TestFlushExact:
                 e = edges[k + 1]
                 for x in (e.u, e.v):
                     later[k, x] = max(later[k, x], float(e.w))
-            arrival = {e.pair: k for k, e in enumerate(edges)}
-            cands = bank.candidate_edges()
-            k = np.array([arrival[(int(a), int(b))] for a, b in cands])
+            k = replay_arrivals(edges, chunk, bank._rng.uniforms)
+            assert np.all(k >= 0)  # the first chunk replaces every reservoir
+            us, vs = (np.array([getattr(e, x) for e in edges]) for x in "uv")
             weights = np.array([float(e.w) for e in edges])
-            assert np.all((bank._cand_v == cands[:, 0]) | (bank._cand_v == cands[:, 1]))
+            assert np.all((bank._cand_v == us[k]) | (bank._cand_v == vs[k]))
             assert np.array_equal(bank._cand_w, weights[k])
             assert np.array_equal(bank._best_after, later[k, bank._cand_v])
-            assert np.array_equal(bank._superseded, bank._best_after > bank._cand_w)
 
 
 class TestBoundedness:
@@ -309,7 +370,15 @@ class TestSpaceDiscipline:
             v = n_side + (i // n_side) % n_side
             long.process_edge(E(u, v))
         assert short.words_used() == long.words_used()
-        assert short.words_used() == 6 * short.size + 8 + 3 * short.chunk_size
+        assert short.words_used() == 3 * short.size + 8 + 3 * short.chunk_size
+
+    def test_words_used_counts_the_allocated_arrays(self):
+        bank = est.EstimatorBank(0.4, 0.2, seed=1, chunk_size=16)
+        bank.process_stream(E(i, i + 1, Fraction(1 + i % 3, 2)) for i in range(50))
+        bank.sample_values()
+        nbytes = sum(x.nbytes for x in vars(bank).values() if isinstance(x, np.ndarray))
+        assert nbytes == 8 * 3 * bank.size
+        assert bank.words_used() == nbytes // 8 + 8 + 3 * bank.chunk_size
 
     def test_words_used_flushes_nothing(self, monkeypatch):
         bank = est.EstimatorBank(0.5, 0.5)

@@ -11,6 +11,7 @@ from conftest import (
     random_connected_graph,
     random_graph,
     random_stream,
+    tree_levels,
 )
 from qmcstream.graph import (
     GraphParseError,
@@ -266,13 +267,13 @@ def test_random_builders_keep_fractional_weights():
 class TestDfsDecomposition:
     def test_path_levels(self):
         dec = dfs_decomposition(graph(3, (0, 1, 1), (1, 2, 1)))
-        assert dec.levels == (((0, 1),), ((1, 2),))
+        assert tree_levels(dec) == [[(0, 1)], [(1, 2)]]
         assert dec.stars == (((0, (1,)),), ((1, (2,)),))
 
     def test_triangle_tree_and_crossing_edge(self):
         dec = dfs_decomposition(TRIANGLE)
-        assert dec.tree_edges == ((0, 1), (1, 2))
-        assert dec.levels == (((0, 1),), ((1, 2),))
+        assert dec.parent == (None, 0, 1)
+        assert tree_levels(dec) == [[(0, 1)], [(1, 2)]]
         assert dec.non_tree_edges == ((0, 2),)
         assert level_separation_violations(dec) == []
 
@@ -284,7 +285,7 @@ class TestDfsDecomposition:
             (3, 7, 1), (0, 5, 1), (1, 3, 1), (1, 7, 1), (0, 2, 1),
         )
         dec = dfs_decomposition(g)
-        sizes = [len(level) for level in dec.levels]
+        sizes = [len(level) for level in tree_levels(dec)]
         assert sizes == [2, 2, 1, 2]
         assert dec.stars[1] == ((1, (2, 5)),)
         assert dec.stars[3] == ((3, (4, 7)),)
@@ -295,7 +296,7 @@ class TestDfsDecomposition:
         g = random_graph(rng, 20, 0.15)
         dec = dfs_decomposition(g)
         non_isolated = set(g.non_isolated())
-        covered = {v for e in dec.tree_edges for v in e} | set(dec.roots)
+        covered = {v for level in tree_levels(dec) for e in level for v in e} | set(dec.roots)
         assert covered == non_isolated
 
     def test_level_separation_random(self):

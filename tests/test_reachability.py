@@ -25,7 +25,6 @@ ALLOWED = {
     "expectation_oracle": "exact E[X] by enumeration, the reference for the bank's sample mean",
     "estimate_qmc": "the one-call library form of QmcEstimateAlgorithm",
     "parse_instance": "reads the documented dihp-gen output format",
-    "EstimatorBank.candidate_edges": "lets tests compare the bank's candidates with reference reservoirs",
 }
 
 
