@@ -2,7 +2,9 @@
 
 Every report is JSON (CSV for separation experiments) with the seed recorded,
 and identical configurations produce byte-identical output. Exit codes:
-0 success, 1 invalid input, 2 infeasible size.
+0 success, 1 invalid input, 2 infeasible size. Each command imports the
+library modules it runs when it runs, so `estimate` loads the streaming
+path alone.
 """
 
 from __future__ import annotations
@@ -13,9 +15,6 @@ import json
 import sys
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-from .dihp import sample_instance, separation_experiment, serialize_instance
-from .estimator import QmcEstimateAlgorithm
-from .fourier_suite import verify_fourier_lemmas
 from .graph import (
     GraphParseError,
     InfeasibleSizeError,
@@ -26,22 +25,6 @@ from .graph import (
     read_edge_list,
     total_weight,
 )
-from .oracles import (
-    QMC_RESIDUAL_TOL,
-    constructive_energies,
-    guaranteed_lower_bound,
-    max_cut_bruteforce,
-    qmc_bounds,
-    qmc_exact,
-)
-from .relaxation import GAP_TOL, solve_vector_program
-
-TOLERANCES = {
-    "structural": 1e-12,
-    "iterative": 1e-9,
-    "qmc_exact_residual": QMC_RESIDUAL_TOL,
-    "relaxation_bound_slack": GAP_TOL,
-}
 
 
 def _emit(obj: dict, out: TextIO) -> None:
@@ -95,6 +78,8 @@ def _read_graph(path: str) -> WeightedGraph:
 
 
 def cmd_estimate(args, out: TextIO) -> int:
+    from .estimator import QmcEstimateAlgorithm
+
     handle = _open_input(args.input)
     try:
         estimator = QmcEstimateAlgorithm(args.eps, args.delta, args.seed)
@@ -119,7 +104,6 @@ def cmd_estimate(args, out: TextIO) -> int:
             "guaranteed_ratio": q.guaranteed_ratio,
             "words_used": q.words_used,
             "edges_seen": q.edges_seen,
-            "tolerances": TOLERANCES,
         },
         out,
     )
@@ -147,6 +131,15 @@ def cmd_wexact(args, out: TextIO) -> int:
 
 
 def cmd_exact(args, out: TextIO) -> int:
+    from .oracles import (
+        QMC_RESIDUAL_TOL,
+        constructive_energies,
+        guaranteed_lower_bound,
+        max_cut_bruteforce,
+        qmc_bounds,
+        qmc_exact,
+    )
+
     compute = _compute_names(args.compute, ("maxcut", "qmc", "bounds", "constructive"))
     g = _read_graph(args.input)
     m, w = total_weight(g), max_incident_sum(g)
@@ -159,7 +152,6 @@ def cmd_exact(args, out: TextIO) -> int:
         "m_exact": str(m),
         "W": float(w),
         "W_exact": str(w),
-        "tolerances": TOLERANCES,
     }
     if "maxcut" in compute:
         cut = max_cut_bruteforce(g)
@@ -170,6 +162,7 @@ def cmd_exact(args, out: TextIO) -> int:
         res = qmc_exact(g, seed=args.seed)
         report["qmc"] = res.value
         report["qmc_residual"] = res.residual
+        report["tolerances"] = {"qmc_exact_residual": QMC_RESIDUAL_TOL}
     if "bounds" in compute:
         b = qmc_bounds(g)
         report["bounds"] = {
@@ -190,6 +183,8 @@ def cmd_exact(args, out: TextIO) -> int:
 
 
 def cmd_relax(args, out: TextIO) -> int:
+    from .relaxation import GAP_TOL, solve_vector_program
+
     g = _read_graph(args.input)
     rank = args.rank if args.rank else max(g.n, 2)
     result = solve_vector_program(g, rank=rank, restarts=args.restarts, seed=args.seed)
@@ -205,7 +200,7 @@ def cmd_relax(args, out: TextIO) -> int:
             "gap": result.upper - result.best_value,
             "converged": result.converged,
             "restarts_used": result.restarts_used,
-            "tolerances": TOLERANCES,
+            "tolerances": {"relaxation_bound_slack": GAP_TOL},
         },
         out,
     )
@@ -213,12 +208,16 @@ def cmd_relax(args, out: TextIO) -> int:
 
 
 def cmd_dihp_gen(args, out: TextIO) -> int:
+    from .dihp import sample_instance, serialize_instance
+
     inst = sample_instance(args.n, args.alpha_n, args.t_players, args.truth, args.seed)
     out.write(serialize_instance(inst))
     return 0
 
 
 def cmd_dihp_exp(args, out: TextIO) -> int:
+    from .dihp import separation_experiment
+
     compute = _compute_names(args.compute or "maxcut", ("maxcut", "sdp", "qmc"))
     report = separation_experiment(
         args.n,
@@ -265,6 +264,8 @@ def cmd_dihp_exp(args, out: TextIO) -> int:
 
 
 def cmd_fourier_verify(args, out: TextIO) -> int:
+    from .fourier_suite import verify_fourier_lemmas
+
     report = verify_fourier_lemmas(seed=args.seed, quick=args.quick)
     _emit(report, out)
     return 0 if report["all_passed"] else 1

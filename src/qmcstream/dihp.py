@@ -268,7 +268,6 @@ class SeparationReport:
     alpha_n: int
     t_players: int
     trials: int
-    seed: int
     yes_stats: CaseStats
     no_stats: CaseStats
     m_values: dict[str, list[int]]
@@ -328,9 +327,7 @@ def separation_experiment(
             sdp_over_m_mean=_mean(sdp_vals),
             qmc_ratio_mean=_mean(qmc_ratios),
         )
-    return SeparationReport(
-        n, alpha_n, t_players, trials, seed, stats[YES], stats[NO], m_values
-    )
+    return SeparationReport(n, alpha_n, t_players, trials, stats[YES], stats[NO], m_values)
 
 
 def _mean(xs: Sequence[float]) -> Optional[float]:

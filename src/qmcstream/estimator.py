@@ -136,18 +136,11 @@ def expectation_oracle(stream: Iterable[WeightedEdge]) -> Fraction:
 class EstimatorBank:
     """K groups of B reservoirs plus the exact total-weight counter."""
 
-    def __init__(
-        self,
-        epsilon: float,
-        delta: float,
-        seed: int = 0,
-        chunk_size: int = DEFAULT_CHUNK,
-    ):
+    def __init__(self, epsilon: float, delta: float, seed: int = 0):
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self.groups, self.per_group = amplification_plan(epsilon, delta)
-        self.seed = int(seed)
-        self.chunk_size = int(chunk_size)
+        self.chunk_size = DEFAULT_CHUNK
         size = self.groups * self.per_group
         self._rng = substream(seed, 0xE57)
         self._cand_v = np.zeros(size, dtype=np.int64)

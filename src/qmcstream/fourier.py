@@ -276,7 +276,6 @@ class HypercontractivityRecord:
     delta: float
     lhs: float  # sum_S delta^{|S|} ||hat f(S)||_1^2
     bound: float  # 2^{2 delta beta}
-    level_square_sums: tuple[float, ...]  # sum of ||.||_1^2 per |S|
 
 
 def hypercontractivity_sums(f: np.ndarray, deltas: Sequence[float]) -> list[HypercontractivityRecord]:
@@ -292,13 +291,11 @@ def hypercontractivity_sums(f: np.ndarray, deltas: Sequence[float]) -> list[Hype
     beta = int(round(math.log2(f.shape[1])))
     weights = popcounts(n)
     coeff_norms = trace_norm(transform(f))
-    level_sq = tuple(float(np.sum(coeff_norms[weights == k] ** 2)) for k in range(n + 1))
     return [
         HypercontractivityRecord(
             delta,
             float(np.sum(np.power(float(delta), weights.astype(float)) * coeff_norms**2)),
             2.0 ** (2 * delta * beta),
-            level_sq,
         )
         for delta in deltas
     ]

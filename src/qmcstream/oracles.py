@@ -295,10 +295,7 @@ def constructive_energies(g: WeightedGraph) -> ConstructiveEnergies:
     hed = heaviest_edge_decomposition(g)
     matching_value = hed.matching_weight + (m - hed.matching_weight) / 4
     forest_cut_value = (hed.matching_weight + hed.forest_weight) / 2
-    dfs_value = _dfs_level_value(g, m) if g.is_unit_weighted() and g.edges else None
-    if not g.edges:
-        matching_value = forest_cut_value = Fraction(0)
-        dfs_value = Fraction(0) if g.is_unit_weighted() else None
+    dfs_value = _dfs_level_value(g, m) if g.is_unit_weighted() else None
     return ConstructiveEnergies(matching_value, forest_cut_value, dfs_value)
 
 

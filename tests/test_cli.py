@@ -23,6 +23,13 @@ def run_cli(args, stdin_text=""):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def run_main(args, stdin_text, monkeypatch, capsys):
+    """The JSON report of an in-process run that reads stdin_text."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+    assert main(args) == 0
+    return json.loads(capsys.readouterr().out)
+
+
 class TestExact:
     def test_triangle_report(self):
         code, out, _ = run_cli(["exact", "--input", "-"], TRIANGLE)
@@ -40,6 +47,14 @@ class TestExact:
         report = json.loads(out)
         assert "bounds" in report and "maxcut" not in report
 
+    def test_tolerances_name_the_lanczos_residual(self, monkeypatch, capsys):
+        report = run_main(["exact"], TRIANGLE, monkeypatch, capsys)
+        assert report["tolerances"] == {"qmc_exact_residual": 1e-9}
+
+    def test_no_tolerances_without_qmc(self, monkeypatch, capsys):
+        report = run_main(["exact", "--compute", "bounds"], TRIANGLE, monkeypatch, capsys)
+        assert "tolerances" not in report
+
 
 class TestEstimate:
     def test_one_edge_value(self):
@@ -51,6 +66,10 @@ class TestEstimate:
         assert report["value"] == 1.00625
         assert report["W_hat"] == 2.0
         assert report["mode"] == "unweighted"
+
+    def test_no_tolerances(self, monkeypatch, capsys):
+        report = run_main(["estimate"], TRIANGLE, monkeypatch, capsys)
+        assert "tolerances" not in report
 
     def test_byte_identical_reports(self):
         stream = "n 6\n0 1\n1 2\n3 4\n4 5\n0 5\n"
@@ -115,6 +134,10 @@ class TestRelax:
         assert report["upper"] >= report["best_value"]
         assert report["upper"] == pytest.approx(1.5, abs=1e-5)
         assert report["gap"] <= 1e-6 * 3
+
+    def test_tolerances_name_the_gap(self, monkeypatch, capsys):
+        report = run_main(["relax"], TRIANGLE, monkeypatch, capsys)
+        assert report["tolerances"] == {"relaxation_bound_slack": 1e-6}
 
 
 class TestDihp:

@@ -123,7 +123,7 @@ class TestExpectationOracle:
 class TestBankAgainstReference:
     """The chunked bank must match the sequential reservoir in distribution."""
 
-    def test_sample_value_distributions_match(self):
+    def test_sample_value_distributions_match(self, monkeypatch):
         # The second stream has ties: (0,1,2) at endpoint 1 and (1,2,2) at
         # endpoint 2 each see a later incident edge of equal weight, which
         # scores 0 without superseding.
@@ -132,6 +132,7 @@ class TestBankAgainstReference:
             (stream(4, (0, 1, 2), (1, 2, 2), (0, 2, 1), (2, 3, 2)), (67, 1), 10),
         )
         trials = 6000
+        monkeypatch.setattr(est, "DEFAULT_CHUNK", 3)
         for s, path, seed in cases:
             ref_counts = {}
             for i in range(trials):
@@ -141,7 +142,7 @@ class TestBankAgainstReference:
                     r.process_edge(e, rng)
                 x = float(est.finalize_sample(r))
                 ref_counts[round(x, 9)] = ref_counts.get(round(x, 9), 0) + 1
-            bank = est.EstimatorBank(0.35, 0.3, seed=seed, chunk_size=3)
+            bank = est.EstimatorBank(0.35, 0.3, seed=seed)
             bank.process_stream(s.edges)
             xs = bank.sample_values()
             bank_counts = {}
@@ -159,9 +160,10 @@ class TestBankAgainstReference:
         assert ref_counts.keys() == {0.0, 0.5, 1.0}
         assert abs(bank_counts[0.0] / bank.size - 5 / 14) < 5 * (5 / 14 * 9 / 14 / bank.size) ** 0.5
 
-    def test_candidate_distribution_proportional_to_weight(self):
+    def test_candidate_distribution_proportional_to_weight(self, monkeypatch):
         s = stream(4, (0, 1, 1), (1, 2, 2), (2, 3, 5))
-        bank = est.EstimatorBank(0.2, 0.2, seed=3, chunk_size=2)
+        monkeypatch.setattr(est, "DEFAULT_CHUNK", 2)
+        bank = est.EstimatorBank(0.2, 0.2, seed=3)
         bank.process_stream(s.edges)
         bank.flush()
         m = 8.0
@@ -171,11 +173,12 @@ class TestBankAgainstReference:
             sigma = (w / m * (1 - w / m) / bank.size) ** 0.5
             assert abs(freq - w / m) < 5 * sigma
 
-    def test_chunk_boundaries_do_not_matter_statistically(self):
+    def test_chunk_boundaries_do_not_matter_statistically(self, monkeypatch):
         s = stream(5, *[(u, v, 1 + (u + v) % 3) for u in range(5) for v in range(u + 1, 5)])
         means = []
         for chunk in (1, 3, 100):
-            bank = est.EstimatorBank(0.1, 0.1, seed=8, chunk_size=chunk)
+            monkeypatch.setattr(est, "DEFAULT_CHUNK", chunk)
+            bank = est.EstimatorBank(0.1, 0.1, seed=8)
             bank.process_stream(s.edges)
             means.append(float(np.mean(bank.sample_values())))
         exact = float(est.expectation_oracle(s.edges))
@@ -234,7 +237,8 @@ class TestFlushExact:
     """Each reservoir's state is a deterministic function of its candidate."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, est.DEFAULT_CHUNK])
-    def test_state_is_the_later_incident_max(self, chunk):
+    def test_state_is_the_later_incident_max(self, chunk, monkeypatch):
+        monkeypatch.setattr(est, "DEFAULT_CHUNK", chunk)
         for trial in range(6):
             rng = fresh_rng(170, chunk, trial)
             n = int(rng.integers(8, 14))
@@ -245,7 +249,7 @@ class TestFlushExact:
                 E(u, v, Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3))))
                 for u, v in pairs[: int(rng.integers(10, 41))]
             ]
-            bank = est.EstimatorBank(0.5, 0.3, seed=trial, chunk_size=chunk)
+            bank = est.EstimatorBank(0.5, 0.3, seed=trial)
             bank._rng = UniformRecorder(bank._rng)
             bank.process_stream(edges)
             bank.flush()
@@ -266,11 +270,12 @@ class TestFlushExact:
 
 
 class TestBoundedness:
-    def test_every_sample_value_in_unit_interval(self):
+    def test_every_sample_value_in_unit_interval(self, monkeypatch):
+        monkeypatch.setattr(est, "DEFAULT_CHUNK", 5)
         for i in range(30):
             rng = fresh_rng(159, i)
             s = random_stream(rng, int(rng.integers(2, 10)), 14, weights=(1, 2, 3, 7))
-            bank = est.EstimatorBank(0.5, 0.4, seed=i, chunk_size=5)
+            bank = est.EstimatorBank(0.5, 0.4, seed=i)
             bank.process_stream(s.edges)
             xs = bank.sample_values()
             assert float(np.min(xs)) >= 0.0 and float(np.max(xs)) <= 1.0
@@ -372,8 +377,9 @@ class TestSpaceDiscipline:
         assert short.words_used() == long.words_used()
         assert short.words_used() == 3 * short.size + 8 + 3 * short.chunk_size
 
-    def test_words_used_counts_the_allocated_arrays(self):
-        bank = est.EstimatorBank(0.4, 0.2, seed=1, chunk_size=16)
+    def test_words_used_counts_the_allocated_arrays(self, monkeypatch):
+        monkeypatch.setattr(est, "DEFAULT_CHUNK", 16)
+        bank = est.EstimatorBank(0.4, 0.2, seed=1)
         bank.process_stream(E(i, i + 1, Fraction(1 + i % 3, 2)) for i in range(50))
         bank.sample_values()
         nbytes = sum(x.nbytes for x in vars(bank).values() if isinstance(x, np.ndarray))

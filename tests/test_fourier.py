@@ -194,10 +194,6 @@ class TestHypercontractivity:
         assert rec.bound == pytest.approx(16.0)
         assert rec.lhs <= rec.bound + 1e-9
 
-    def test_level_sums_partition_total(self):
-        (rec,) = fr.hypercontractivity_sums(self._density_table(2), [1.0])
-        assert sum(rec.level_square_sums) == pytest.approx(rec.lhs, abs=1e-9)
-
     def test_one_record_per_delta(self):
         tab = self._density_table(3)
         deltas = (0.0, 0.25, 0.5, 1.0)

@@ -340,6 +340,12 @@ class TestConstructiveEnergies:
         assert ce.dfs_level_value == Fraction(5, 4)
         assert oc.qmc_exact(unit_graph(3, (0, 1), (1, 2))).value >= float(ce.dfs_level_value) - 1e-9
 
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_edgeless_graph_is_worth_nothing(self, n):
+        ce = oc.constructive_energies(WeightedGraph(n, []))
+        values = (ce.matching_value, ce.forest_cut_value, ce.dfs_level_value)
+        assert values == (0, 0, 0) and all(isinstance(v, Fraction) for v in values)
+
     def test_weighted_graph_has_no_dfs_value(self):
         g = WeightedGraph(2, [E(0, 1, Fraction(2))])
         assert oc.constructive_energies(g).dfs_level_value is None

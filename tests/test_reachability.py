@@ -2,11 +2,11 @@
 
 Each module-level function, class and constant of ``src/qmcstream`` and each
 public method of its classes must be named somewhere in ``src/``, ``bench/``
-or ``scripts/`` outside its own definition and outside the package's
-re-export list (``__init__.py``). A name counts when it appears as a variable,
-an attribute, or a word of a string literal other than a docstring (the
-benchmark tracer names what it wraps in strings). Names are matched by their
-last component, so a method shares credit with any attribute of that name.
+or ``scripts/`` outside its own definition. A name counts when it appears
+as a variable, an attribute, or a word of a string literal other than a
+docstring (the benchmark tracer names what it wraps in strings). Names are
+matched by their last component, so a method shares credit with any
+attribute of that name.
 """
 
 from __future__ import annotations
@@ -67,13 +67,10 @@ def unreached_names() -> list[str]:
     uses: dict[str, list[tuple[Path, int]]] = {}
     for folder in ("src", "bench", "scripts"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            if path.name != "__init__.py":
-                for word, line in _occurrences(path):
-                    uses.setdefault(word, []).append((path, line))
+            for word, line in _occurrences(path):
+                uses.setdefault(word, []).append((path, line))
     out = []
     for module in sorted(PACKAGE.glob("*.py")):
-        if module.name == "__init__.py":
-            continue
         for qualname, first, last in _definitions(module):
             name = qualname.rsplit(".", 1)[-1]
             if all(path == module and first <= line <= last for path, line in uses.get(name, [])):

@@ -1,9 +1,8 @@
 """Every imported name is used in the file that imports it.
 
 A static scan with ``ast``: a name bound by an import statement must appear
-as a name somewhere else in the same file. Package ``__init__.py`` files
-re-export by importing, and a line marked ``# noqa: F401`` is a deliberate
-re-export, so both are skipped.
+as a name somewhere else in the same file. A line marked ``# noqa: F401``
+is a deliberate re-export, so it is skipped.
 """
 
 import ast
@@ -16,7 +15,6 @@ SOURCES = sorted(
     path
     for pattern in ("src/**/*.py", "scripts/*.py", "tests/*.py", "bench/*.py")
     for path in ROOT.glob(pattern)
-    if path.name != "__init__.py"
 )
 
 
