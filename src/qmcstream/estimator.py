@@ -7,21 +7,27 @@ incident edges stay at or below the sampled weight). E[X] = W / 2m exactly,
 so 2m * X estimates W unbiasedly; averaging B reservoirs per group and
 taking the median over K groups gives the (epsilon, delta) guarantee.
 
-A stream is any iterable of WeightedEdge in arrival order: the lines of an
-edge list as they are read, or the ordered ``edges`` of a WeightedGraph.
+A stream is any iterable of WeightedEdge in arrival order, such as the
+ordered ``edges`` of a WeightedGraph, or a sequence of blocks of columns
+(endpoints and weights), as `qmcstream estimate` reads an edge list.
 
-The bank vectorizes all K*B reservoirs and consumes the stream in bounded
-chunks. One categorical draw per reservoir per chunk picks where its last
-replacement in the chunk fell, if anywhere, which reproduces the per-edge
-process exactly in distribution. Replaced reservoirs are reset to their new
-candidate; then every reservoir takes the same update from one incidence
-lookup: the heaviest chunk edge at its sampled endpoint strictly after its
-candidate (after the chunk's start, for a kept reservoir) raises best_after.
-Each reservoir keeps three words (sampled endpoint, candidate weight,
-best_after): best_after is the running maximum since the last replacement,
-so a heavier later edge shows as best_after > candidate weight and scores
-0. Storage stays constant no matter how long the stream is; the exact m
-counter grows only with rational weights (README).
+The bank vectorizes all K*B reservoirs and consumes the stream in chunks of
+C edges. process_edge and process_block fill the same preallocated
+three-column buffer, which is flushed whenever it holds exactly C edges, so
+the chunk boundaries, and every draw, depend on the edge order alone, not
+on how the stream was split into blocks. One categorical draw per reservoir
+per chunk picks where its last replacement in the chunk fell, if anywhere,
+which reproduces the per-edge process exactly in distribution. Replaced
+reservoirs are reset to their new candidate; then every reservoir takes the
+same update from one incidence lookup: the heaviest chunk edge at its
+sampled endpoint strictly after its candidate (after the chunk's start, for
+a kept reservoir) raises best_after. Each reservoir keeps three words
+(sampled endpoint, candidate weight, best_after): best_after is the running
+maximum since the last replacement, so a heavier later edge shows as
+best_after > candidate weight and scores 0. Storage stays constant no
+matter how long the stream is. The exact total weight m is a Python int
+while every weight is an integer, and a Fraction from the first rational
+weight on, whose denominator can grow (README).
 """
 
 from __future__ import annotations
@@ -140,34 +146,64 @@ class EstimatorBank:
         self.epsilon = float(epsilon)
         self.delta = float(delta)
         self.groups, self.per_group = amplification_plan(epsilon, delta)
-        self.chunk_size = DEFAULT_CHUNK
         size = self.groups * self.per_group
         self._rng = substream(seed, 0xE57)
         self._cand_v = np.zeros(size, dtype=np.int64)
         self._cand_w = np.zeros(size)
         self._best_after = np.zeros(size)
         self._weight_seen = 0.0
-        self.m_exact = Fraction(0)
+        self.m_exact: int | Fraction = 0
         self.edges_seen = 0
         self.unit_weights = True
-        self._buf_u: list[int] = []
-        self._buf_v: list[int] = []
-        self._buf_w: list[float] = []
+        # The chunk buffer: C edges as three columns, the first _fill pending.
+        self._buf_u = np.zeros(DEFAULT_CHUNK, dtype=np.int64)
+        self._buf_v = np.zeros(DEFAULT_CHUNK, dtype=np.int64)
+        self._buf_w = np.zeros(DEFAULT_CHUNK)
+        self._fill = 0
 
     @property
     def size(self) -> int:
         return self.groups * self.per_group
 
+    @property
+    def chunk_size(self) -> int:
+        return len(self._buf_w)
+
     def process_edge(self, e: WeightedEdge) -> None:
-        self.m_exact += e.w
+        w = e.w
+        self.m_exact += w.numerator if w.denominator == 1 else w
         self.edges_seen += 1
-        if e.w != 1:
+        if w != 1:
             self.unit_weights = False
-        self._buf_u.append(e.u)
-        self._buf_v.append(e.v)
-        self._buf_w.append(float(e.w))
-        if len(self._buf_w) >= self.chunk_size:
+        i = self._fill
+        self._buf_u[i], self._buf_v[i], self._buf_w[i] = e.u, e.v, float(w)
+        self._fill = i + 1
+        if self._fill == self.chunk_size:
             self.flush()
+
+    def process_block(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, m_add, unit: bool) -> None:
+        """Ingest edges given as columns, as process_edge would one by one.
+
+        u, v and w hold the endpoints and float weights in arrival order;
+        m_add is their exact total (an int for integer weights) and unit
+        says whether every weight is 1. The block fills the same buffer as
+        process_edge, so the chunk boundaries, and with them every draw,
+        depend only on the edge order, not on how it was split into blocks.
+        """
+        self.m_exact += m_add
+        self.edges_seen += len(w)
+        if not unit:
+            self.unit_weights = False
+        start, c = 0, self.chunk_size
+        while start < len(w):
+            take = min(c - self._fill, len(w) - start)
+            fill, end = self._fill, self._fill + take
+            self._buf_u[fill:end] = u[start : start + take]
+            self._buf_v[fill:end] = v[start : start + take]
+            self._buf_w[fill:end] = w[start : start + take]
+            self._fill, start = end, start + take
+            if end == c:
+                self.flush()
 
     def process_stream(self, stream: Iterable[WeightedEdge]) -> None:
         for e in stream:
@@ -175,13 +211,11 @@ class EstimatorBank:
 
     def flush(self) -> None:
         """Apply all buffered edges to the reservoirs."""
-        c = len(self._buf_w)
+        c = self._fill
         if c == 0:
             return
-        eu = np.array(self._buf_u, dtype=np.int64)
-        ev = np.array(self._buf_v, dtype=np.int64)
-        ew = np.array(self._buf_w)
-        self._buf_u, self._buf_v, self._buf_w = [], [], []
+        eu, ev, ew = self._buf_u[:c], self._buf_v[:c], self._buf_w[:c]
+        self._fill = 0
 
         chunk_cum = np.cumsum(ew)
         w_end = self._weight_seen + chunk_cum[-1]
@@ -227,9 +261,14 @@ class EstimatorBank:
         """Persistent storage in machine words; constant in stream length.
 
         Three words per reservoir (endpoint, candidate weight, best_after),
-        eight scalars, and the three-column chunk buffer counted at its
-        capacity, so the count is the same whether or not edges are pending.
-        A pure query: it flushes nothing.
+        the three columns of the C-edge chunk buffer at their capacity, and
+        eight fixed-size scalars: epsilon, delta, groups, per_group, the
+        float running weight, edges_seen, unit_weights and the buffer's fill
+        count. The count is the same whether or not edges are pending. The
+        PCG64 generator's state and the exact m are outside it: m_exact is
+        unbounded (an int that grows with the total weight, or a Fraction
+        whose denominator grows with rational weights; README). A pure
+        query: it flushes nothing.
         """
         return 3 * self.size + 8 + 3 * self.chunk_size
 
@@ -290,7 +329,7 @@ class QmcEstimate:
     mode: str  # "unweighted" | "weighted"
     guaranteed_ratio: float  # 2 + eps or 5/2 + eps
     words_used: int
-    m_exact: Fraction
+    m_exact: int | Fraction
     edges_seen: int
 
 

@@ -150,7 +150,7 @@ def read_edge_list(lines: Iterable[str]) -> tuple[int, Iterator[tuple[int, Weigh
     Every rejection raises GraphParseError naming its line. Duplicate pairs
     are not checked here, so the reader itself keeps constant memory.
     """
-    content = _content_lines(lines)
+    content = content_lines(lines)
     header = next(content, None)
     if header is None:
         raise GraphParseError("line 1: missing header 'n <count>'")
@@ -167,9 +167,10 @@ def read_edge_list(lines: Iterable[str]) -> tuple[int, Iterator[tuple[int, Weigh
     return n, edges
 
 
-def _content_lines(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """(1-based line number, whitespace-split fields) of non-blank, non-comment lines."""
-    for lineno, raw in enumerate(lines, start=1):
+def content_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """(line number, whitespace-split fields) of non-blank, non-comment lines,
+    numbering the first line ``start``."""
+    for lineno, raw in enumerate(lines, start=start):
         parts = raw.split()
         if parts and not parts[0].startswith("#"):
             yield lineno, parts

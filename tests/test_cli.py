@@ -3,11 +3,13 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qmcstream import oracles
-from qmcstream.cli import main
-from qmcstream.graph import GraphParseError, WeightedEdge
+from qmcstream import cli, oracles
+from qmcstream.cli import iter_stream_edges, main
+from qmcstream.estimator import DEFAULT_CHUNK
+from qmcstream.graph import GraphParseError, read_edge_list
 from test_graph import PARSE_ERRORS
 
 TRIANGLE = "n 3\n0 1\n1 2\n0 2\n"
@@ -81,20 +83,20 @@ class TestEstimate:
         assert json.loads(out3)["m"] == json.loads(out1)["m"]
 
     def test_streaming_reader_is_lazy(self):
-        from qmcstream.cli import iter_stream_edges
-
+        chunk = DEFAULT_CHUNK
         read = []
 
         def lines():  # one-shot: a generator cannot be rewound
-            for raw in ("n 3\n", "0 1\n", "1 2 x\n"):
+            for raw in ["n 3\n"] + ["0 1\n"] * (2 * chunk) + ["1 2 x\n"]:
                 read.append(raw)
                 yield raw
 
-        edges = iter_stream_edges(lines())
-        assert next(edges) == WeightedEdge(0, 1)
-        assert len(read) == 2
-        with pytest.raises(GraphParseError, match="line 3: bad weight"):
-            next(edges)
+        blocks = iter_stream_edges(lines())
+        assert len(next(blocks)[0]) == chunk
+        assert len(read) <= chunk + 1
+        assert len(next(blocks)[0]) == chunk
+        with pytest.raises(GraphParseError, match=f"line {2 * chunk + 2}: bad weight"):
+            next(blocks)
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -115,6 +117,113 @@ class TestEstimate:
         code, _, err = run_cli(["estimate", "--mode", "unweighted"], stream)
         assert code == 1
         assert "unrecognized arguments: --mode" in err
+
+
+def per_line_blocks(text, chunk):
+    """The blocks of text as read_edge_list parses it line by line, cut
+    every `chunk` lines after the header on line 1."""
+    lines = io.StringIO(text).readlines()
+    n, numbered = read_edge_list(lines)
+    blocks = [[] for _ in range(0, len(lines) - 1, chunk)]
+    for lineno, edge in numbered:
+        blocks[(lineno - 2) // chunk].append(edge)
+    return [
+        (
+            np.array([e.u for e in b], dtype=np.int64),
+            np.array([e.v for e in b], dtype=np.int64),
+            np.array([float(e.w) for e in b]),
+            sum(e.w.numerator if e.w.denominator == 1 else e.w for e in b),
+            all(e.w == 1 for e in b),
+        )
+        for b in blocks
+    ]
+
+
+def outcome(read):
+    """The blocks read() returns, or the message of the GraphParseError it raises."""
+    try:
+        return read()
+    except GraphParseError as exc:
+        return str(exc)
+
+
+# (lines after the header "n 10", whether numpy's integer fast path keeps them)
+BLOCK_CASES = [
+    ("0 1\n1 2\n", True),
+    ("0 1 2\n1 2 3\n", True),
+    ("007 01 0003\n", True),
+    ("0 1\n  \n\n2 3 4\n5 6\n", False),  # mixes 2 and 3 columns
+    ("   \n\n", False),
+    ("0 1 9223372036854775807\n", True),
+    ("0 1 9223372036854775808\n", False),
+    ("0 1 99999999999999999999999\n", False),
+    ("0 9223372036854775808\n", False),
+    ("0 1\t2\n", False),
+    ("0 1 +5\n", False),
+    ("0 1 1_0\n", False),
+    ("0 1 \u0665\n", False),
+    ("0 1\x0c2\n", False),
+    ("0 1\x0c1 2\n", False),
+    ("0 1\r\n", False),
+    ("0 1\r1 2\n", False),
+    ("0 1 # comment\n", False),
+    ("# comment\n0 1\n", False),
+    ("0\n", False),
+    ("0 1 2 3\n", False),
+    ("0 10\n", False),
+    ("10 0 1\n", False),
+    ("0 1\n1 2\n3 3\n", False),
+    ("0 1 0\n", False),
+    ("0 1 3/4\n", False),
+    ("0 1 2.5\n", False),
+]
+
+
+class TestBlockReader:
+    """The numpy fast path and the per-line path read every block alike."""
+
+    @pytest.mark.parametrize("body,fast", BLOCK_CASES)
+    @pytest.mark.parametrize("chunk", [1, 2, DEFAULT_CHUNK])
+    def test_blocks_match_the_per_line_parser(self, body, fast, chunk, monkeypatch):
+        assert (cli._integer_block(body, 10) is not None) == fast
+        monkeypatch.setattr("qmcstream.estimator.DEFAULT_CHUNK", chunk)
+        text = "n 10\n" + body
+        got = outcome(lambda: list(iter_stream_edges(io.StringIO(text))))
+        want = outcome(lambda: per_line_blocks(text, chunk))
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for a, b in zip(g[:3], w[:3]):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert type(g[3]) is type(w[3]) and g[3] == w[3]
+            assert g[4] == w[4]
+
+    def test_comment_in_every_block_gives_the_same_report(self, monkeypatch, capsys):
+        rng = np.random.default_rng(19)
+        u = rng.integers(0, 300, size=3000)
+        v = (u + rng.integers(1, 300, size=3000)) % 300
+        w = rng.integers(1, 6, size=3000)
+        lines = [f"{a} {b} {c}\n" for a, b, c in zip(u, v, w)]
+        commented = []
+        for i, line in enumerate(lines):  # a "#" line in every block forces the per-line path
+            if i % 500 == 0:
+                commented.append("# block\n")
+            commented.append(line)
+        parsed_by_line = []
+        per_line = cli._parsed_block
+        monkeypatch.setattr(cli, "_parsed_block", lambda *a: parsed_by_line.append(1) or per_line(*a))
+        outputs = []
+        for body in (lines, commented):
+            monkeypatch.setattr(sys, "stdin", io.StringIO("n 300\n" + "".join(body)))
+            assert main(["estimate", "--eps", "0.5", "--delta", "0.2", "--seed", "4"]) == 0
+            outputs.append(capsys.readouterr().out)
+            parsed_by_line.append(None)
+        assert parsed_by_line == [None, 1, 1, 1, None]
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0])
+        assert report["edges_seen"] == 3000 and report["m_exact"] == str(int(w.sum()))
 
 
 class TestWexact:

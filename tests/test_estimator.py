@@ -186,6 +186,51 @@ class TestBankAgainstReference:
             assert abs(m - exact) < 0.02
 
 
+class TestBlocks:
+    """process_block draws exactly what process_edge does, however the stream is split."""
+
+    @staticmethod
+    def columns(edges):
+        ws = [e.w for e in edges]
+        return (
+            np.array([e.u for e in edges], dtype=np.int64),
+            np.array([e.v for e in edges], dtype=np.int64),
+            np.array([float(w) for w in ws]),
+            sum(w.numerator if w.denominator == 1 else w for w in ws),
+            all(w == 1 for w in ws),
+        )
+
+    @pytest.mark.parametrize("weights", [(1,), (1, 2, 7), (1, Fraction(5, 2), Fraction(1, 3))])
+    def test_every_split_gives_the_same_samples(self, weights, monkeypatch):
+        chunk = 64
+        monkeypatch.setattr(est, "DEFAULT_CHUNK", chunk)
+        rng = fresh_rng(190, len(weights))
+        n = 40
+        edges = []
+        for _ in range(5 * chunk + 17):
+            u, v = rng.choice(n, size=2, replace=False)
+            edges.append(E(int(u), int(v), Fraction(weights[int(rng.integers(len(weights)))])))
+        ref = est.EstimatorBank(0.5, 0.3, seed=11)
+        ref.process_stream(edges)
+        splits = {
+            "one block": [len(edges)],
+            "chunk-sized": [chunk] * 6,
+            "off by one": [chunk - 1, chunk + 1, 1, 2 * chunk + 3],
+            "larger than a chunk": [3 * chunk + 5, 2 * chunk],
+            "random": list(rng.integers(0, 2 * chunk, size=40)),
+        }
+        for name, sizes in splits.items():
+            bank = est.EstimatorBank(0.5, 0.3, seed=11)
+            start = 0
+            for size in sizes:
+                bank.process_block(*self.columns(edges[start : start + size]))
+                start += size
+            bank.process_stream(edges[start:])
+            assert np.array_equal(bank.sample_values(), ref.sample_values()), name
+            assert type(bank.m_exact) is type(ref.m_exact) and bank.m_exact == ref.m_exact
+            assert (bank.edges_seen, bank.unit_weights) == (ref.edges_seen, ref.unit_weights)
+
+
 class UniformRecorder:
     """A Generator stand-in that keeps every array of uniforms it hands out."""
 
@@ -383,8 +428,25 @@ class TestSpaceDiscipline:
         bank.process_stream(E(i, i + 1, Fraction(1 + i % 3, 2)) for i in range(50))
         bank.sample_values()
         nbytes = sum(x.nbytes for x in vars(bank).values() if isinstance(x, np.ndarray))
-        assert nbytes == 8 * 3 * bank.size
-        assert bank.words_used() == nbytes // 8 + 8 + 3 * bank.chunk_size
+        assert nbytes == 8 * (3 * bank.size + 3 * bank.chunk_size)
+        assert bank.words_used() == nbytes // 8 + 8
+
+    def test_eight_scalars_besides_the_generator_and_m(self):
+        bank = est.EstimatorBank(0.5, 0.5)
+        scalars = {name for name, x in vars(bank).items() if not isinstance(x, np.ndarray)}
+        assert scalars == {
+            "epsilon", "delta", "groups", "per_group", "_weight_seen", "edges_seen",
+            "unit_weights", "_fill", "_rng", "m_exact",
+        }
+
+    def test_m_is_an_int_until_the_first_rational_weight(self):
+        bank = est.EstimatorBank(0.5, 0.5)
+        assert type(bank.m_exact) is int
+        bank.process_edge(E(0, 1, Fraction(3)))
+        bank.process_block(np.array([1]), np.array([2]), np.array([2.0]), 2, False)
+        assert type(bank.m_exact) is int and bank.m_exact == 5
+        bank.process_edge(E(2, 3, Fraction(1, 2)))
+        assert type(bank.m_exact) is Fraction and bank.m_exact == Fraction(11, 2)
 
     def test_words_used_flushes_nothing(self, monkeypatch):
         bank = est.EstimatorBank(0.5, 0.5)
