@@ -163,6 +163,8 @@ def read_edge_list(lines: Iterable[str]) -> tuple[int, Iterator[tuple[int, Weigh
         raise GraphParseError(f"line {lineno}: vertex count must be an integer")
     if n < 0:
         raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
+    if n > (1 << 63) - 1:
+        raise GraphParseError(f"line {lineno}: vertex count exceeds 2^63 - 1")
     edges = ((i, parse_edge_line(p, i, n)) for i, p in content)
     return n, edges
 

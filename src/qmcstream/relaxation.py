@@ -3,8 +3,9 @@
 maximize sum_{uv in E} w_uv * (-<f(u), f(v)>) over unit vectors f(u) in R^r.
 Each start sweeps the rows, f(u) <- normalize(-sum_v w_uv f(v)) (Wang, Chang
 & Kolter, arXiv:1706.00476), and stops once a dual bound certifies its value
-to within GAP_TOL * max(m, 1). The optimal cut, when feasible, is a floor, so
-the best value found is never below 2*MaxCut - m.
+to within GAP_TOL * max(m, 1) of the SDP optimum, which is >= 2*MaxCut - m.
+The best start's rows round to a cut whose exact value 2*cut - m is a floor,
+so the best value is never below it, at every graph size.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import InfeasibleSizeError, WeightedGraph, total_weight
-from .oracles import max_cut_bruteforce
+from .graph import WeightedGraph, total_weight
 from .rng import substream
 
 # A run is certified once upper - value <= GAP_TOL * max(m, 1); it gives up
@@ -71,8 +71,8 @@ def solve_vector_program(
 
     Start k draws random unit rows from substream(seed, 0x5D9, k). A new
     start runs only while the best value is not yet within the tolerance of
-    the smallest bound. When the brute-force optimal cut is feasible and its
-    value 2*MaxCut - m beats every start, the cut assignment is returned.
+    the smallest bound. Row v rounds to sign <x_v, x_r>, r the lowest vertex of
+    v's component (+1 if isolated); a cut whose 2*cut - m beats all starts wins.
     """
     if rank < 2:
         raise ValueError("rank must be at least 2")
@@ -96,15 +96,15 @@ def solve_vector_program(
         upper = min(upper, bound)
         if value > best_value:
             best_value, best = value, x
-    try:
-        cut = max_cut_bruteforce(g)
-    except InfeasibleSizeError:
-        cut = None
-    if cut is not None and float(2 * cut.value - m) > best_value:
-        best_value = float(2 * cut.value - m)
+    signs = np.ones(g.n)
+    for comp in g.components():
+        signs[comp] = np.where(best[comp] @ best[comp[0]] < 0, -1.0, 1.0)
+    floor = float(2 * sum(e.w for e in g.edges if signs[e.u] != signs[e.v]) - m)
+    if floor > best_value:
+        best_value = floor
         best = np.zeros((g.n, rank))
-        best[:, 0] = [1.0 if s == 0 else -1.0 for s in cut.sides]
-    # best_value is attained by a feasible point (the cut floor exactly), so a
+        best[:, 0] = signs
+    # best_value is attained by a feasible point (the rounded cut exactly), so a
     # bound below it is roundoff in the eigenvalue, not a weaker relaxation.
     upper = max(upper, best_value)
     return RelaxationResult(best_value, upper, best, used, upper - best_value <= tol)

@@ -310,6 +310,19 @@ class TestExitCodes:
         assert err.startswith("error: ") and "No such file" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["estimate", "wexact"])
+    def test_vertex_count_past_int64_is_one(self, command, monkeypatch, capsys):
+        # Every accepted id then fits the estimator's int64 columns.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("n 99999999999999999999\n0 9223372036854775808\n"))
+        assert main([command, "--input", "-"]) == 1
+        assert capsys.readouterr().err == "error: line 1: vertex count exceeds 2^63 - 1\n"
+
+    def test_largest_vertex_count_streams(self, monkeypatch, capsys):
+        text = "n 9223372036854775807\n0 9223372036854775806\n"
+        for body in (text, text + "# the per-line path\n"):
+            report = run_main(["estimate", "--eps", "0.5", "--delta", "0.5"], body, monkeypatch, capsys)
+            assert report["edges_seen"] == 1
+
     def test_unconverged_lanczos_is_one(self, monkeypatch, capsys):
         monkeypatch.setattr(oracles, "LANCZOS_KRYLOV_CAP", 3)
         ring = "n 10\n" + "".join(f"{i} {(i + 1) % 10}\n" for i in range(10)) + "0 5\n"

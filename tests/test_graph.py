@@ -46,6 +46,7 @@ PARSE_ERRORS = [
     ("n 2\n0", "line 2: expected 'u v [w]'"),
     ("n -3", "line 1: vertex count must be nonnegative"),
     ("n x", "line 1: vertex count must be an integer"),
+    ("n 9223372036854775808", "line 1: vertex count exceeds"),
     # Only "\n" ends a line, as in a text stream read from stdin.
     ("n 3\n0 1\x0c1 2", "line 2: expected 'u v [w]'"),
     ("n 3\n0 1\r1 2", "line 2: expected 'u v [w]'"),

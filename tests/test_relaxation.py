@@ -3,8 +3,8 @@ import pytest
 
 from conftest import fresh_rng, random_graph, sdp_objective
 from qmcstream import relaxation as rx
-from qmcstream.graph import WeightedEdge, WeightedGraph, total_weight
-from qmcstream.oracles import max_cut_bruteforce, qmc_exact
+from qmcstream.graph import InfeasibleSizeError, WeightedEdge, WeightedGraph, is_bipartite, total_weight
+from qmcstream.oracles import MAXCUT_COMPONENT_CAP, max_cut_bruteforce, qmc_exact
 
 E = WeightedEdge
 
@@ -14,6 +14,17 @@ def unit_graph(n, *pairs):
 
 
 TRIANGLE = unit_graph(3, (0, 1), (1, 2), (0, 2))
+
+
+def cycle(n):
+    return unit_graph(n, *[(i, (i + 1) % n) for i in range(n)])
+
+
+def grid(rows, cols, weights=(1,)):
+    """The rows x cols grid, with edge k weighted weights[k % len(weights)]."""
+    pairs = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    pairs += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return WeightedGraph(rows * cols, [E(u, v, weights[k % len(weights)]) for k, (u, v) in enumerate(pairs)])
 
 
 class TestObjective:
@@ -89,6 +100,8 @@ class TestSolve:
             rx.solve_vector_program(TRIANGLE, rank=2, restarts=0)
 
     def test_cut_seeded_floor(self):
+        # The rounded-cut floor: on these graphs, wherever the starts fall short
+        # of 2*MaxCut - m, the best rows round to a cut that reaches it.
         for i in range(30):
             rng = fresh_rng(52, i)
             g = random_graph(rng, int(rng.integers(2, 9)), 0.5, weights=(1, 2, 4, 8))
@@ -99,6 +112,22 @@ class TestSolve:
             r = rx.solve_vector_program(g, rank=g.n, seed=i)
             assert r.best_value >= 2 * mc - m - 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(30), grid(5, 6), grid(6, 6, weights=(1, 2, 3))],
+        ids=["C30", "grid5x6", "grid6x6-weighted"],
+    )
+    def test_bipartite_past_the_cut_cap_reaches_m(self, g, seed):
+        # Too large for brute-force Max-Cut, but the rows still round to the
+        # bipartition, so the value is m up to roundoff, not the gap below it.
+        assert is_bipartite(g).bipartite
+        with pytest.raises(InfeasibleSizeError, match=f"cap {MAXCUT_COMPONENT_CAP}"):
+            max_cut_bruteforce(g)
+        r = rx.solve_vector_program(g, rank=g.n, seed=seed)
+        assert r.best_value >= float(total_weight(g)) - 1e-9
+        assert r.converged
+
     def test_restart_monotonicity(self):
         g = random_graph(fresh_rng(53), 7, 0.6, weights=(1, 3))
         values = [
@@ -106,10 +135,6 @@ class TestSolve:
             for k in (1, 2, 4, 8)
         ]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-
-
-def cycle(n):
-    return unit_graph(n, *[(i, (i + 1) % n) for i in range(n)])
 
 
 def weight_matrix(g):
@@ -140,7 +165,7 @@ class TestCertificate:
             assert upper >= optimum - 1e-12
 
     def test_upper_never_below_best_value(self):
-        # The graphs of acceptance criterion 7. On some of them the optimal-cut
+        # The graphs of acceptance criterion 7. On some of them the rounded-cut
         # floor is the SDP optimum, and the float bound lands ulps below it.
         for i in range(300):
             rng = fresh_rng(97, i)
