@@ -1,127 +1,34 @@
-"""Command-line front door: parse inputs, dispatch, emit reproducible reports.
+"""Command-line front door: dispatch, and emit reproducible reports.
 
 Every report is JSON (CSV for separation experiments) with the seed recorded,
 and identical configurations produce byte-identical output. Exit codes:
 0 success, 1 invalid input, 2 infeasible size. Each command imports the
 library modules it runs when it runs, so `estimate` loads the streaming
-path alone. `estimate` reads its input in blocks of C lines and hands the
-estimator whole columns: numpy parses a block of integer edge lines, and
-any other block is parsed line by line under the offline parser's rules
-and messages (iter_stream_edges).
+path alone. Edge lists are read by graph.py's reader alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
-import itertools
 import json
-import re
 import sys
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 from .graph import (
     GraphParseError,
     InfeasibleSizeError,
     WeightedGraph,
-    content_lines,
+    iter_stream_edges,
     max_incident_sum,
-    parse_edge_line,
     parse_edge_list,
-    read_edge_list,
     total_weight,
 )
-
-# Any character outside the integer fast path's alphabet.
-_NOT_INTEGER_TEXT = re.compile(r"[^0-9 \n]")
 
 
 def _emit(obj: dict, out: TextIO) -> None:
     out.write(json.dumps(obj, sort_keys=True, indent=2))
     out.write("\n")
-
-
-def iter_stream_edges(lines: Iterable[str]) -> Iterator[tuple]:
-    """Blocks of a streamed edge list, parsed up to DEFAULT_CHUNK lines at a time.
-
-    Each block is ``(u, v, w, m_add, unit)``, the arguments of
-    ``EstimatorBank.process_block``: int64 endpoint columns, float64
-    weights, the block's exact total weight (an int while every weight is
-    an integer, else a Fraction) and whether every weight is 1. The header
-    is read through read_edge_list. A block of ASCII digits, spaces and
-    newlines alone is parsed by numpy in one call and kept only if every
-    row is a valid edge; any other block goes line by line through
-    parse_edge_line, so every rejection names its line with the offline
-    parser's message. No duplicate-pair set is kept: the online path must
-    stay at constant memory, so duplicate-freeness is the producer's
-    contract (the offline parser enforces it).
-    """
-    from .estimator import DEFAULT_CHUNK
-
-    lines = iter(lines)
-    read = 0
-
-    def counted():
-        nonlocal read
-        for raw in lines:
-            read += 1
-            yield raw
-
-    n, _ = read_edge_list(counted())
-    while block := list(itertools.islice(lines, DEFAULT_CHUNK)):
-        first, read = read + 1, read + len(block)
-        yield _integer_block("".join(block), n) or _parsed_block(block, first, n)
-
-
-def _integer_block(text: str, n: int) -> Optional[tuple]:
-    """The columns of a block of integer edge lines, or None to parse it by line.
-
-    numpy reads only text that parse_edge_line would read alike (ASCII
-    digits split by spaces), and a block is kept only if each row has 2 or
-    3 fields, ids below n, no self-loop and a positive weight: anything
-    parse_edge_line would reject or numpy cannot hold in int64 is None.
-    """
-    import numpy as np
-
-    if not text.strip() or _NOT_INTEGER_TEXT.search(text):
-        return None
-    try:
-        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
-    except (ValueError, OverflowError):
-        return None
-    if rows.shape[1] not in (2, 3):
-        return None
-    u, v = rows[:, 0], rows[:, 1]
-    if not ((u < n).all() and (v < n).all() and (u != v).all()):
-        return None
-    if rows.shape[1] == 2:
-        return u, v, np.ones(len(rows)), len(rows), True
-    w = rows[:, 2]
-    if not (w > 0).all():
-        return None
-    return u, v, w.astype(np.float64), sum(w.tolist()), bool((w == 1).all())
-
-
-def _parsed_block(block: list[str], first: int, n: int) -> tuple:
-    """The columns of a block parsed line by line; line ``first`` opens it.
-
-    Each edge goes straight into preallocated columns, so no list of edge
-    objects or boxed numbers outlives its line.
-    """
-    import numpy as np
-
-    u = np.empty(len(block), dtype=np.int64)
-    v = np.empty(len(block), dtype=np.int64)
-    w = np.empty(len(block))
-    m_add, unit, k = 0, True, 0
-    for lineno, parts in content_lines(block, first):
-        e = parse_edge_line(parts, lineno, n)
-        u[k], v[k], w[k] = e.u, e.v, float(e.w)
-        m_add += e.w.numerator if e.w.denominator == 1 else e.w
-        unit = unit and e.w == 1
-        k += 1
-    return u[:k], v[:k], w[:k], m_add, unit
 
 
 def _compute_names(text: str, known: Sequence[str]) -> set[str]:

@@ -1,4 +1,5 @@
-"""Weighted graphs as ordered edge sequences, and structural decompositions.
+"""Weighted graphs as ordered edge sequences, the edge-list reader, and
+structural decompositions.
 
 A graph's edges keep the order they were given in, so one object serves as
 the graph and as the edge stream the one-pass estimator reads. Weights are
@@ -7,15 +8,31 @@ numerical modules that consume graphs. Two decompositions are provided:
 the heaviest-incident-edge matching/forest split, and a DFS forest from
 which components, depth levels with their star partition, and bipartiteness
 with its witness are all read.
+
+The edge-list format, which every command reads through read_edge_list: a
+header ``n <count>`` with 0 <= count <= 2^63 - 1, then one edge ``u v [w]``
+per line with ids below the count and a positive weight (default 1) written
+as an integer, ``p/q`` or a decimal, of denominator at most MAX_DENOMINATOR.
+Blank lines and ``#`` comments are skipped, and only a newline ends a line.
+Each rejection is a GraphParseError naming its line; parse_edge_list reports
+a malformed line anywhere before a repeated pair.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_DENOMINATOR = 10**9  # largest accepted weight denominator
+MAX_VERTICES = 1 << 20  # largest vertex count a WeightedGraph allocates lists for
+READ_BLOCK = 1024  # lines per block of the edge-list reader
+
+# Any character outside the integer fast path's alphabet.
+_NOT_INTEGER_TEXT = re.compile(r"[^0-9 \n]")
 
 
 class GraphParseError(ValueError):
@@ -24,6 +41,14 @@ class GraphParseError(ValueError):
 
 class InfeasibleSizeError(ValueError):
     """An exact computation was requested beyond its size limits."""
+
+
+class DuplicateEdgeError(ValueError):
+    """A vertex pair given twice; ``index`` is the position of the repeat."""
+
+    def __init__(self, pair: tuple[int, int], index: int):
+        super().__init__(f"duplicate edge {pair[0]}-{pair[1]}")
+        self.index = index
 
 
 def _as_weight(value) -> Fraction:
@@ -61,15 +86,17 @@ class WeightedGraph:
     """
 
     def __init__(self, n: int, edges: Iterable[WeightedEdge]):
+        if n > MAX_VERTICES:
+            raise InfeasibleSizeError(f"{n} vertices exceed the graph cap {MAX_VERTICES}")
         self.n = n
         self.edges: tuple[WeightedEdge, ...] = tuple(edges)
         self.adjacency: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
         seen = set()
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
             if not (0 <= e.u < n and 0 <= e.v < n):
                 raise ValueError(f"vertex out of range in edge {e.u}-{e.v} (n={n})")
             if e.pair in seen:
-                raise ValueError(f"duplicate edge {e.pair[0]}-{e.pair[1]}")
+                raise DuplicateEdgeError(e.pair, i)
             seen.add(e.pair)
             self.adjacency[e.u].append((e.v, e.w))
             self.adjacency[e.v].append((e.u, e.w))
@@ -137,21 +164,18 @@ def max_incident_sum(g: WeightedGraph) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def read_edge_list(lines: Iterable[str]) -> tuple[int, Iterator[tuple[int, WeightedEdge]]]:
-    """Read the line-oriented edge list format in one forward pass.
+def read_edge_list(lines: Iterable[str]) -> tuple[int, Iterator[tuple]]:
+    """The header's vertex count, read now, and the edge blocks, read lazily.
 
-    Format: a header line ``n <count>``, then one edge per line as
-    ``u v [w]`` with the weight defaulting to 1. Weights may be integers,
-    ``p/q`` rationals, or decimals; denominators above ``MAX_DENOMINATOR``
-    are rejected. Blank lines and ``#`` comments are skipped.
-
-    The header is read and checked now; the returned iterator parses the
-    edges one line at a time as it is advanced, yielding ``(lineno, edge)``.
-    Every rejection raises GraphParseError naming its line. Duplicate pairs
-    are not checked here, so the reader itself keeps constant memory.
+    A block holds up to READ_BLOCK lines as ``(u, v, w)``: int64 endpoint
+    columns and the exact weights. numpy parses a block of integer lines in
+    one call (an int64 weight column); any other block goes line by line
+    through parse_edge_line (an object column of ints and Fractions), with
+    the same outcome.
     """
-    content = content_lines(lines)
-    header = next(content, None)
+    lines = iter(lines)
+    # Enumerating stops at the header, so exactly its line number of lines are read.
+    header = next(content_lines(lines), None)
     if header is None:
         raise GraphParseError("line 1: missing header 'n <count>'")
     lineno, parts = header
@@ -165,8 +189,66 @@ def read_edge_list(lines: Iterable[str]) -> tuple[int, Iterator[tuple[int, Weigh
         raise GraphParseError(f"line {lineno}: vertex count must be nonnegative")
     if n > (1 << 63) - 1:
         raise GraphParseError(f"line {lineno}: vertex count exceeds 2^63 - 1")
-    edges = ((i, parse_edge_line(p, i, n)) for i, p in content)
-    return n, edges
+    return n, _edge_blocks(lines, n, lineno)
+
+
+def _edge_blocks(lines: Iterator[str], n: int, read: int) -> Iterator[tuple]:
+    """read_edge_list's blocks, when ``read`` lines precede the first."""
+    while block := list(itertools.islice(lines, READ_BLOCK)):
+        first, read = read + 1, read + len(block)
+        yield _integer_block("".join(block), n) or _parsed_block(block, first, n)
+
+
+def _integer_block(text: str, n: int) -> Optional[tuple]:
+    """The columns of a block of integer edge lines, or None to parse it by line.
+
+    numpy reads only text that parse_edge_line would read alike (ASCII
+    digits split by spaces), and a block is kept only if each row has 2 or
+    3 fields, ids below n, no self-loop and a positive weight: anything
+    parse_edge_line would reject or numpy cannot hold in int64 is None.
+    """
+    import numpy as np
+
+    if not text.strip() or _NOT_INTEGER_TEXT.search(text):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(text), dtype=np.int64, comments=None, ndmin=2)
+    except (ValueError, OverflowError):
+        return None
+    if rows.shape[1] not in (2, 3):
+        return None
+    u, v = rows[:, 0], rows[:, 1]
+    w = rows[:, 2] if rows.shape[1] == 3 else np.ones(len(rows), dtype=np.int64)
+    if not ((u < n).all() and (v < n).all() and (u != v).all() and (w > 0).all()):
+        return None
+    return u, v, w
+
+
+def _parsed_block(block: list[str], first: int, n: int) -> tuple:
+    """The columns of a block parsed line by line; line ``first`` opens it.
+
+    Integer weights are kept as ints, so a block's sum stays an int while
+    every weight is one, as the integer path's sum does.
+    """
+    import numpy as np
+
+    u, v = np.empty((2, len(block)), dtype=np.int64)
+    w = np.empty(len(block), dtype=object)
+    k = 0
+    for lineno, parts in content_lines(block, first):
+        e = parse_edge_line(parts, lineno, n)
+        u[k], v[k], w[k] = e.u, e.v, e.w.numerator if e.w.denominator == 1 else e.w
+        k += 1
+    return u[:k], v[:k], w[:k]
+
+
+def iter_stream_edges(lines: Iterable[str]) -> Iterator[tuple]:
+    """The edge blocks as ``EstimatorBank.process_block`` takes them:
+    ``(u, v, w, m_add, unit)``, with the weights rounded to float64 here
+    alone, their exact total (an int while every weight is an integer) and
+    whether every weight is 1."""
+    for u, v, w in read_edge_list(lines)[1]:
+        yield u, v, w.astype(float), sum(w.tolist()), bool((w == 1).all())
 
 
 def content_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[str]]]:
@@ -179,24 +261,20 @@ def content_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, l
 
 
 def parse_edge_list(text: str) -> WeightedGraph:
-    """Parse a whole edge list (see read_edge_list) into a WeightedGraph
-    with the edges in line order, rejecting a repeated vertex pair with the
-    line it appears on.
+    """A whole edge list as a WeightedGraph with the edges in line order.
 
-    Lines end only at newline characters, as in a text stream, so the
-    streaming reader splits text read from the same handle alike.
+    Every block is read before the graph is built, so a malformed line
+    anywhere is reported before a repeated pair, which the graph rejects
+    and which is then mapped back to its line.
     """
-    n, numbered = read_edge_list(text.split("\n"))
-    edges: list[WeightedEdge] = []
-    pairs = set()
-    for lineno, edge in numbered:
-        if edge.pair in pairs:
-            raise GraphParseError(
-                f"line {lineno}: duplicate edge {edge.pair[0]}-{edge.pair[1]}"
-            )
-        pairs.add(edge.pair)
-        edges.append(edge)
-    return WeightedGraph(n, edges)
+    n, blocks = read_edge_list(io.StringIO(text))
+    edges = [WeightedEdge(*e) for u, v, w in blocks for e in zip(u.tolist(), v.tolist(), w.tolist())]
+    try:
+        return WeightedGraph(n, edges)
+    except DuplicateEdgeError as exc:
+        # Each content line after the header is one edge, in order.
+        lineno, _ = next(itertools.islice(content_lines(io.StringIO(text)), exc.index + 1, None))
+        raise GraphParseError(f"line {lineno}: {exc}")
 
 
 def parse_edge_line(parts: Sequence[str], lineno: int, n: int) -> WeightedEdge:

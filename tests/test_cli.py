@@ -6,13 +6,22 @@ import sys
 import numpy as np
 import pytest
 
-from qmcstream import cli, oracles
-from qmcstream.cli import iter_stream_edges, main
-from qmcstream.estimator import DEFAULT_CHUNK
-from qmcstream.graph import GraphParseError, read_edge_list
+from qmcstream import graph, oracles
+from qmcstream.cli import main
+from qmcstream.graph import (
+    READ_BLOCK,
+    GraphParseError,
+    content_lines,
+    iter_stream_edges,
+    parse_edge_line,
+    parse_edge_list,
+)
 from test_graph import PARSE_ERRORS
 
 TRIANGLE = "n 3\n0 1\n1 2\n0 2\n"
+
+# The commands that build a WeightedGraph from their input.
+OFFLINE_COMMANDS = [["wexact"], ["exact", "--compute", "bounds"], ["relax"]]
 
 
 def run_cli(args, stdin_text=""):
@@ -83,7 +92,7 @@ class TestEstimate:
         assert json.loads(out3)["m"] == json.loads(out1)["m"]
 
     def test_streaming_reader_is_lazy(self):
-        chunk = DEFAULT_CHUNK
+        chunk = READ_BLOCK
         read = []
 
         def lines():  # one-shot: a generator cannot be rewound
@@ -119,13 +128,19 @@ class TestEstimate:
         assert "unrecognized arguments: --mode" in err
 
 
+def per_line_edges(text):
+    """(line number, edge) of each edge line of text, parsed one line at a
+    time after the header "n <count>" on line 1."""
+    numbered = content_lines(io.StringIO(text))
+    _, (_, count) = next(numbered)
+    return [(lineno, parse_edge_line(parts, lineno, int(count))) for lineno, parts in numbered]
+
+
 def per_line_blocks(text, chunk):
-    """The blocks of text as read_edge_list parses it line by line, cut
-    every `chunk` lines after the header on line 1."""
-    lines = io.StringIO(text).readlines()
-    n, numbered = read_edge_list(lines)
-    blocks = [[] for _ in range(0, len(lines) - 1, chunk)]
-    for lineno, edge in numbered:
+    """The blocks of text as per_line_edges reads it, cut every `chunk`
+    lines after the header on line 1."""
+    blocks = [[] for _ in range(0, len(io.StringIO(text).readlines()) - 1, chunk)]
+    for lineno, edge in per_line_edges(text):
         blocks[(lineno - 2) // chunk].append(edge)
     return [
         (
@@ -180,13 +195,14 @@ BLOCK_CASES = [
 
 
 class TestBlockReader:
-    """The numpy fast path and the per-line path read every block alike."""
+    """graph's reader: the numpy fast path and the per-line path read every
+    block alike, for `estimate` and for the offline commands."""
 
     @pytest.mark.parametrize("body,fast", BLOCK_CASES)
-    @pytest.mark.parametrize("chunk", [1, 2, DEFAULT_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, READ_BLOCK])
     def test_blocks_match_the_per_line_parser(self, body, fast, chunk, monkeypatch):
-        assert (cli._integer_block(body, 10) is not None) == fast
-        monkeypatch.setattr("qmcstream.estimator.DEFAULT_CHUNK", chunk)
+        assert (graph._integer_block(body, 10) is not None) == fast
+        monkeypatch.setattr(graph, "READ_BLOCK", chunk)
         text = "n 10\n" + body
         got = outcome(lambda: list(iter_stream_edges(io.StringIO(text))))
         want = outcome(lambda: per_line_blocks(text, chunk))
@@ -200,6 +216,12 @@ class TestBlockReader:
             assert type(g[3]) is type(w[3]) and g[3] == w[3]
             assert g[4] == w[4]
 
+    @pytest.mark.parametrize("body", [body for body, _ in BLOCK_CASES])
+    def test_offline_edges_match_the_per_line_parser(self, body):
+        text = "n 10\n" + body
+        want = outcome(lambda: tuple(edge for _, edge in per_line_edges(text)))
+        assert outcome(lambda: parse_edge_list(text).edges) == want
+
     def test_comment_in_every_block_gives_the_same_report(self, monkeypatch, capsys):
         rng = np.random.default_rng(19)
         u = rng.integers(0, 300, size=3000)
@@ -212,8 +234,8 @@ class TestBlockReader:
                 commented.append("# block\n")
             commented.append(line)
         parsed_by_line = []
-        per_line = cli._parsed_block
-        monkeypatch.setattr(cli, "_parsed_block", lambda *a: parsed_by_line.append(1) or per_line(*a))
+        per_line = graph._parsed_block
+        monkeypatch.setattr(graph, "_parsed_block", lambda *a: parsed_by_line.append(1) or per_line(*a))
         outputs = []
         for body in (lines, commented):
             monkeypatch.setattr(sys, "stdin", io.StringIO("n 300\n" + "".join(body)))
@@ -316,6 +338,20 @@ class TestExitCodes:
         monkeypatch.setattr(sys, "stdin", io.StringIO("n 99999999999999999999\n0 9223372036854775808\n"))
         assert main([command, "--input", "-"]) == 1
         assert capsys.readouterr().err == "error: line 1: vertex count exceeds 2^63 - 1\n"
+
+    @pytest.mark.parametrize("text,fragment", PARSE_ERRORS)
+    @pytest.mark.parametrize("args", OFFLINE_COMMANDS, ids=" ".join)
+    def test_offline_parse_errors_name_the_line(self, args, text, fragment, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        assert main(args) == 1
+        assert f"error: {fragment}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", OFFLINE_COMMANDS, ids=" ".join)
+    def test_vertex_count_past_the_graph_cap_is_two(self, args, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO("n 9223372036854775807\n0 1\n"))
+        assert main(args) == 2
+        cap = graph.MAX_VERTICES
+        assert capsys.readouterr().err == f"error: 9223372036854775807 vertices exceed the graph cap {cap}\n"
 
     def test_largest_vertex_count_streams(self, monkeypatch, capsys):
         text = "n 9223372036854775807\n0 9223372036854775806\n"

@@ -14,7 +14,10 @@ from conftest import (
     tree_levels,
 )
 from qmcstream.graph import (
+    MAX_VERTICES,
+    READ_BLOCK,
     GraphParseError,
+    InfeasibleSizeError,
     WeightedEdge,
     WeightedGraph,
     dfs_decomposition,
@@ -34,10 +37,15 @@ def graph(n, *pairs):
 
 
 # (input, message fragment); tests/test_cli.py runs the same table through
-# the streaming reader of `qmcstream estimate`.
+# `qmcstream wexact`, `exact` and `relax`, and all but the duplicates through
+# `qmcstream estimate`.
 PARSE_ERRORS = [
     ("n 2\n0 0 1", "line 2: self-loop"),
     ("n 3\n0 1\n1 0", "line 3: duplicate"),
+    # A blank line inside a block of integer lines still counts.
+    ("n 4\n0 1\n\n1 2\n\n2 1", "line 6: duplicate edge 1-2"),
+    # A malformed line anywhere comes before a duplicate pair.
+    ("n 3\n0 1\n1 0\n0 0\n", "line 4: self-loop"),
     ("n 2\n0 1 -2", "line 2: negative weight"),
     ("n 2\n0 1 0", "line 2: zero weight"),
     ("n 2\n0 1 x", "line 2: bad weight"),
@@ -81,6 +89,11 @@ class TestParsing:
         with pytest.raises(GraphParseError, match=fragment.replace("[", "\\[")):
             parse_edge_list(text)
 
+    def test_duplicate_past_the_first_block(self):
+        text = "n 2000\n" + "".join(f"{i} {i + 1}\n" for i in range(READ_BLOCK + 100)) + "601 600\n"
+        with pytest.raises(GraphParseError, match=f"^line {READ_BLOCK + 102}: duplicate edge 600-601$"):
+            parse_edge_list(text)
+
     def test_denominator_bound(self):
         with pytest.raises(GraphParseError, match="denominator"):
             parse_edge_list("n 2\n0 1 1/1000000007")
@@ -97,6 +110,11 @@ class TestParsing:
     def test_stream_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
             WeightedGraph(3, (E(0, 1), E(1, 0)))
+
+    def test_graph_caps_its_vertex_count(self):
+        assert WeightedGraph(800_000, [E(0, 799_999)]).n == 800_000
+        with pytest.raises(InfeasibleSizeError, match=f"cap {MAX_VERTICES}$"):
+            WeightedGraph(MAX_VERTICES + 1, [])
 
     @pytest.mark.parametrize("edge", [E(0, 3), E(-1, 2)])
     def test_graph_rejects_out_of_range_vertices(self, edge):

@@ -6,7 +6,8 @@ the Fourier toolbox. Its order is pinned too: the stream-weighted benchmark
 moves by about 10% with module load order alone, so a change to the order
 should be deliberate: update ORDER here and say why in the change's record.
 `qmcstream relax` loads the relaxation alone, without the oracles or the
-Fourier toolbox.
+Fourier toolbox, and `qmcstream wexact` loads the graph module alone: the
+edge-list reader lives there and does not load the estimator.
 
 ``sys.modules`` lists a module when it has finished loading, so the package
 comes first, and ``qmcstream.cli`` comes before the estimator that
@@ -33,6 +34,8 @@ NOT_LOADED = ["oracles", "fourier", "linalg", "relaxation", "dihp", "fourier_sui
 RELAX_LOADS = {"qmcstream", "qmcstream.graph", "qmcstream.cli", "qmcstream.rng", "qmcstream.relaxation"}
 
 RELAX_NOT_LOADED = ["oracles", "fourier", "linalg", "dihp", "estimator"]
+
+WEXACT_LOADS = {"qmcstream", "qmcstream.graph", "qmcstream.cli"}
 
 PROBE = """
 import contextlib, io, sys
@@ -70,3 +73,7 @@ def test_relax_loads_the_relaxation_alone():
     loaded = loaded_modules("relax", "n 3\n0 1\n1 2\n0 2\n")
     assert not {f"qmcstream.{name}" for name in RELAX_NOT_LOADED} & set(loaded)
     assert set(loaded) == RELAX_LOADS
+
+
+def test_wexact_loads_the_graph_module_alone():
+    assert set(loaded_modules("wexact", "n 3\n0 1\n1 2\n0 2 3/2\n# per line\n")) == WEXACT_LOADS
