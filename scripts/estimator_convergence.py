@@ -9,7 +9,7 @@ the eps*m budget and the words of state the bank needed.
 import argparse
 import math
 
-from qmcstream.estimator import estimate_w
+from qmcstream.estimator import EstimatorBank
 from qmcstream.graph import WeightedEdge, WeightedGraph, max_incident_sum, total_weight
 from qmcstream.rng import substream
 
@@ -41,9 +41,10 @@ def main():
         errs = []
         words = 0
         for t in range(args.trials):
-            r = estimate_w(g.edges, eps, args.delta, seed=t)
-            errs.append(r.w_hat - w_true)
-            words = r.words_used
+            bank = EstimatorBank(eps, args.delta, seed=t)
+            bank.process_stream(g.edges)
+            errs.append(bank.w_estimate() - w_true)
+            words = bank.words_used()
         worst = max(abs(e) for e in errs)
         rms = math.sqrt(sum(e * e for e in errs) / len(errs))
         hits = sum(abs(e) <= eps * m for e in errs)

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: random graphs, exhaustive enumeration,
 dense Hamiltonians built independently of the package's operators, and the
 tests-only reference checks (cut values, DFS level separation, the vector
-program objective, a constant streaming algorithm)."""
+program objective, a constant streaming algorithm), and the bank's W
+estimate of a whole stream."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from qmcstream.estimator import EstimatorBank
 from qmcstream.graph import WeightedEdge, WeightedGraph
 from qmcstream.rng import substream
 
@@ -213,3 +215,10 @@ def random_hermitian(rng, dim):
 
 def fresh_rng(*path):
     return substream(0xC0FFEE, *path)
+
+
+def bank_w_hat(stream, epsilon, delta, seed=0):
+    """W_hat of a fresh EstimatorBank fed the whole stream."""
+    bank = EstimatorBank(epsilon, delta, seed)
+    bank.process_stream(stream)
+    return bank.w_estimate()

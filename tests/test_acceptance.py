@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    bank_w_hat,
     connected_graphs_iso_free,
     fresh_rng,
     random_connected_graph,
@@ -25,7 +26,6 @@ from qmcstream.estimator import (
     EstimatorBank,
     amplification_plan,
     estimate_qmc,
-    estimate_w,
     expectation_oracle,
 )
 from qmcstream.fourier import parity_forwarding_protocol, phibound_experiment
@@ -74,7 +74,7 @@ def test_criterion_02_additive_w_estimation():
     w_true = float(max_incident_sum(g))
     m = float(total_weight(g))
     hits = sum(
-        abs(estimate_w(g.edges, 0.1, 0.1, seed=t).w_hat - w_true) <= 0.1 * m
+        abs(bank_w_hat(g.edges, 0.1, 0.1, seed=t) - w_true) <= 0.1 * m
         for t in range(100)
     )
     assert hits >= 90

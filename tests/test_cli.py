@@ -8,6 +8,7 @@ import pytest
 
 from qmcstream import graph, oracles
 from qmcstream.cli import main
+from qmcstream.estimator import DEFAULT_CHUNK
 from qmcstream.graph import (
     READ_BLOCK,
     GraphParseError,
@@ -106,6 +107,24 @@ class TestEstimate:
         assert len(next(blocks)[0]) == chunk
         with pytest.raises(GraphParseError, match=f"line {2 * chunk + 2}: bad weight"):
             next(blocks)
+
+    def test_chunk_boundaries_do_not_follow_the_reader(self, monkeypatch, capsys):
+        # The bank flushes every DEFAULT_CHUNK edges whatever the reader's
+        # block, so blocks that straddle, divide or exceed a chunk draw alike.
+        rng = np.random.default_rng(23)
+        count = 2 * DEFAULT_CHUNK + 17
+        u = rng.integers(0, 500, size=count)
+        v = (u + rng.integers(1, 500, size=count)) % 500
+        w = rng.integers(1, 6, size=count)
+        text = "n 500\n" + "".join(f"{a} {b} {c}\n" for a, b, c in zip(u, v, w))
+        outputs = []
+        for block in (999, 1024, 5000):
+            monkeypatch.setattr(graph, "READ_BLOCK", block)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+            assert main(["estimate", "--eps", "0.5", "--delta", "0.2", "--seed", "6"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["edges_seen"] == count
 
     @pytest.mark.parametrize(
         "text,fragment",

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import fresh_rng, random_stream
+from conftest import bank_w_hat, fresh_rng, random_stream
 from qmcstream import estimator as est
 from qmcstream.graph import WeightedEdge, WeightedGraph, max_incident_sum, total_weight
 
@@ -278,10 +278,38 @@ def replay_arrivals(edges, chunk, uniforms):
     return arrival
 
 
+def check_exact_state(edges, n, chunk, seed):
+    """Stream edges through a bank and replay every reservoir's state."""
+    bank = est.EstimatorBank(0.5, 0.3, seed=seed)
+    assert bank.chunk_size == chunk
+    bank._rng = UniformRecorder(bank._rng)
+    bank.process_stream(edges)
+    bank.flush()
+    # later[k, v]: max weight at v over the edges after arrival k
+    later = np.zeros((len(edges), n))
+    for k in range(len(edges) - 2, -1, -1):
+        later[k] = later[k + 1]
+        e = edges[k + 1]
+        for x in (e.u, e.v):
+            later[k, x] = max(later[k, x], float(e.w))
+    k = replay_arrivals(edges, chunk, bank._rng.uniforms)
+    assert np.all(k >= 0)  # the first chunk replaces every reservoir
+    us, vs = (np.array([getattr(e, x) for e in edges]) for x in "uv")
+    weights = np.array([float(e.w) for e in edges])
+    assert np.all((bank._cand_v == us[k]) | (bank._cand_v == vs[k]))
+    assert np.array_equal(bank._cand_w, weights[k])
+    assert np.array_equal(bank._best_after, later[k, bank._cand_v])
+
+
+def tied_weight(rng):
+    # few distinct weights, so ties between incident edges are common
+    return Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3)))
+
+
 class TestFlushExact:
     """Each reservoir's state is a deterministic function of its candidate."""
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, est.DEFAULT_CHUNK])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 1024, est.DEFAULT_CHUNK])
     def test_state_is_the_later_incident_max(self, chunk, monkeypatch):
         monkeypatch.setattr(est, "DEFAULT_CHUNK", chunk)
         for trial in range(6):
@@ -289,29 +317,19 @@ class TestFlushExact:
             n = int(rng.integers(8, 14))
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             rng.shuffle(pairs)
-            # few distinct weights, so ties between incident edges are common
-            edges = [
-                E(u, v, Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 3))))
-                for u, v in pairs[: int(rng.integers(10, 41))]
-            ]
-            bank = est.EstimatorBank(0.5, 0.3, seed=trial)
-            bank._rng = UniformRecorder(bank._rng)
-            bank.process_stream(edges)
-            bank.flush()
-            # later[k, v]: max weight at v over the edges after arrival k
-            later = np.zeros((len(edges), n))
-            for k in range(len(edges) - 2, -1, -1):
-                later[k] = later[k + 1]
-                e = edges[k + 1]
-                for x in (e.u, e.v):
-                    later[k, x] = max(later[k, x], float(e.w))
-            k = replay_arrivals(edges, chunk, bank._rng.uniforms)
-            assert np.all(k >= 0)  # the first chunk replaces every reservoir
-            us, vs = (np.array([getattr(e, x) for e in edges]) for x in "uv")
-            weights = np.array([float(e.w) for e in edges])
-            assert np.all((bank._cand_v == us[k]) | (bank._cand_v == vs[k]))
-            assert np.array_equal(bank._cand_w, weights[k])
-            assert np.array_equal(bank._best_after, later[k, bank._cand_v])
+            edges = [E(u, v, tied_weight(rng)) for u, v in pairs[: int(rng.integers(10, 41))]]
+            check_exact_state(edges, n, chunk, seed=trial)
+
+    def test_full_chunks_at_the_default_size(self):
+        # Two full chunks of the shipped size and a partial one, so the
+        # replay crosses real flush boundaries. Pairs repeat (the bank
+        # keeps no duplicate set), which keeps the vertex count small.
+        rng = fresh_rng(171)
+        n = 12
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picks = rng.integers(0, len(pairs), size=2 * est.DEFAULT_CHUNK + 333)
+        edges = [E(*pairs[i], tied_weight(rng)) for i in picks]
+        check_exact_state(edges, n, est.DEFAULT_CHUNK, seed=5)
 
 
 class TestBoundedness:
@@ -334,11 +352,10 @@ class TestBoundedness:
 
 class TestEstimateW:
     def test_empty_stream(self):
-        assert est.estimate_w((), 0.3, 0.1).w_hat == 0.0
+        assert bank_w_hat((), 0.3, 0.1) == 0.0
 
     def test_single_edge_exact(self):
-        r = est.estimate_w(stream(2, (0, 1, 5)).edges, 0.3, 0.1, seed=4)
-        assert r.w_hat == 10.0
+        assert bank_w_hat(stream(2, (0, 1, 5)).edges, 0.3, 0.1, seed=4) == 10.0
 
     def test_plan_constants(self):
         k, b = est.amplification_plan(0.1, 0.1)
@@ -363,7 +380,7 @@ class TestEstimateW:
         w_true = float(max_incident_sum(g))
         m = float(total_weight(g))
         hits = sum(
-            abs(est.estimate_w(g.edges, 0.2, 0.1, seed=t).w_hat - w_true) <= 0.2 * m
+            abs(bank_w_hat(g.edges, 0.2, 0.1, seed=t) - w_true) <= 0.2 * m
             for t in range(40)
         )
         assert hits >= 36
@@ -371,8 +388,7 @@ class TestEstimateW:
     def test_clamped_to_range(self):
         s = stream(3, (0, 1, 1), (1, 2, 1))
         for t in range(10):
-            r = est.estimate_w(s.edges, 0.5, 0.3, seed=t)
-            assert 0.0 <= r.w_hat <= 2.0 * float(total_weight(s))
+            assert 0.0 <= bank_w_hat(s.edges, 0.5, 0.3, seed=t) <= 2.0 * float(total_weight(s))
 
 
 class TestEstimateQmc:
