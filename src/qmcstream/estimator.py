@@ -15,26 +15,32 @@ The bank vectorizes all K*B reservoirs and consumes the stream in chunks of
 C edges. process_edge and process_block fill the same preallocated
 three-column buffer, which is flushed whenever it holds exactly C edges, so
 the chunk boundaries, and every draw, depend on the edge order alone, not
-on how the stream was split into blocks. One categorical draw per
-reservoir per chunk picks where its last replacement in the chunk fell, if
-anywhere, which reproduces the per-edge process exactly in distribution
-for every C. Replaced reservoirs are reset to their new candidate; then
-every reservoir takes the same update from one incidence lookup: the
-heaviest chunk edge at its sampled endpoint strictly after its candidate
-(after the chunk's start, for a kept reservoir) raises best_after. Each
-reservoir keeps three words (sampled endpoint, candidate weight,
-best_after): best_after is the running maximum since the last replacement,
-so a heavier later edge shows as best_after > candidate weight and scores
-0. Storage stays constant no matter how long the stream is. The exact total
-weight m is a Python int while every weight is an integer, and a Fraction
-from the first rational weight on, whose denominator can grow (README).
+on how the stream was split into blocks. One categorical draw per reservoir
+per chunk picks where its last replacement in the chunk fell, if anywhere,
+which reproduces the per-edge process exactly in distribution for every C.
+One stable sort of the chunk's 2C incidences indexes it: for each
+incidence, the heaviest later chunk edge at its vertex, and for each
+distinct vertex, its heaviest chunk edge. A replaced reservoir's state is
+read off the incidence it drew (its new candidate and endpoint); a kept
+reservoir's best_after is raised by the chunk's maximum at its endpoint,
+looked up only when a table of the chunk's vertex ids modulo 2^k
+(2^k >= 32*C) says the endpoint may be in the chunk. Each reservoir keeps
+three words (sampled endpoint, candidate weight, best_after): best_after is
+the running maximum since the last replacement, so a heavier later edge
+shows as best_after > candidate weight and scores 0. Storage stays constant
+no matter how long the stream is. The exact total weight m is a Python int
+while every weight is an integer, and a Fraction from the first rational
+weight on, whose denominator can grow (README).
 
 C is sized apart from the reader's block (graph.READ_BLOCK, 1024 lines).
-A flush costs O(K*B log C) however few edges it holds, a cost fixed mostly
-in K*B, so C sets how far it is amortised: about K*B/C lookups per edge.
-The law of the samples does not depend on C, and the buffer costs 3*C
-words, so C = 8192 flushes once per eight reader blocks for 3*C = 24,576
-words (8% of the state of `qmcstream estimate --eps 0.5 --delta 0.2`).
+A flush costs a few linear passes over the K*B reservoirs (the draw, one
+compare against the chunk's last bin, the table probe), O(C log C) to
+index the chunk, and binary searches only for the replaced reservoirs and
+the kept ones the table selects. The linear passes are fixed in K*B, so C
+sets how far they are amortised. The law of the samples does not depend
+on C, and the buffer costs 3*C words, so C = 8192 flushes once per eight
+reader blocks for 3*C = 24,576 words (8% of the state of
+`qmcstream estimate --eps 0.5 --delta 0.2`).
 """
 
 from __future__ import annotations
@@ -196,6 +202,9 @@ class EstimatorBank:
         says whether every weight is 1. The block fills the same buffer as
         process_edge, so the chunk boundaries, and with them every draw,
         depend only on the edge order, not on how it was split into blocks.
+        No edge may be a self-loop (the reader rejects them, as WeightedEdge
+        does): flush's index orders each vertex's incidences by position,
+        and a self-loop would give its vertex two at one position.
         """
         self.m_exact += m_add
         self.edges_seen += len(w)
@@ -227,24 +236,46 @@ class EstimatorBank:
         chunk_cum = np.cumsum(ew)
         w_end = self._weight_seen + chunk_cum[-1]
         self._weight_seen = float(w_end)
+        bins = chunk_cum / w_end
+        verts, after, run_v, run_max = _chunk_index(eu, ev, ew)
+        # An endpoint that a table of the chunk's vertex ids, modulo a power
+        # of two, misses is not in the chunk. The table is probed before the
+        # draw, and the draws are freed once placed, so that few K*B-sized
+        # temporaries live at once: a first flush replaces every reservoir,
+        # and its temporaries set the peak memory.
+        table = np.zeros(1 << _mask_bits(self.chunk_size), dtype=bool)
+        table[run_v & (len(table) - 1)] = True
+        hit = table[self._cand_v & (len(table) - 1)]
+
         # P(last replacement in chunk = i) = p_i * prod_{j>i} (1 - p_j), with
         # p_j = w_j / W_j and W_j the total weight through edge j, telescopes
-        # to w_i / W_end: one weighted draw picks it, and cat == c (the prior
-        # weight's share) is "no replacement". With no prior weight the last
-        # bin edge is x / x = 1 exactly, so U < 1 always replaces.
-        cat = np.searchsorted(chunk_cum / w_end, self._rng.random(self.size), side="right")
+        # to w_i / W_end: one weighted draw over the bins picks it, and
+        # U >= bins[-1] (the prior weight's share) is "no replacement". With
+        # no prior weight the last bin edge is x / x = 1 exactly, so U < 1
+        # always replaces. Only the replaced reservoirs' draws are placed.
+        u = self._rng.random(self.size)
+        replaced = np.flatnonzero(u < bins[-1])
+        cat = np.searchsorted(bins, u[replaced], side="right")
+        del u
 
-        # A replaced reservoir restarts from its new candidate at position
-        # cat; a kept one sees the whole chunk (position -1).
-        replaced = cat < c
-        ridx = cat[replaced]
-        pick_v = self._rng.integers(0, 2, size=len(ridx))
-        self._cand_v[replaced] = np.where(pick_v == 0, eu[ridx], ev[ridx])
-        self._cand_w[replaced] = ew[ridx]
-        self._best_after[replaced] = 0.0
+        # A kept reservoir sees the whole chunk: the chunk's maximum at its
+        # endpoint raises best_after.
+        hit[replaced] = False
+        sel = np.flatnonzero(hit)
+        cv = self._cand_v[sel]
+        j = np.searchsorted(run_v, cv)
+        j[j == len(run_v)] = 0
+        found = run_v[j] == cv
+        sel, j = sel[found], j[found]
+        self._best_after[sel] = np.maximum(self._best_after[sel], run_max[j])
 
-        ba = _incident_max_after(eu, ev, ew, self._cand_v, np.where(replaced, cat, -1))
-        np.maximum(self._best_after, ba, out=self._best_after)
+        # A replaced reservoir restarts from its new candidate: edge cat and
+        # endpoint pick, incidence slot 2 * cat + pick, whose state is the
+        # chunk's maximum at that endpoint strictly after position cat.
+        slot = 2 * cat + self._rng.integers(0, 2, size=len(cat))
+        self._cand_v[replaced] = verts[slot]
+        self._cand_w[replaced] = ew[cat]
+        self._best_after[replaced] = after[slot]
 
     def sample_values(self) -> np.ndarray:
         """Finalized X per reservoir (flushes pending edges)."""
@@ -274,38 +305,48 @@ class EstimatorBank:
         count. The count is the same whether or not edges are pending. The
         PCG64 generator's state and the exact m are outside it: m_exact is
         unbounded (an int that grows with the total weight, or a Fraction
-        whose denominator grows with rational weights; README). A pure
+        whose denominator grows with rational weights; README). So are the
+        chunk index and the endpoint table each flush builds: O(C) words of
+        scratch, freed when the flush returns, not kept state. A pure
         query: it flushes nothing.
         """
         return 3 * self.size + 8 + 3 * self.chunk_size
 
 
-def _incident_max_after(eu, ev, ew, vert, after):
-    """Max chunk weight at vert[i] strictly after position after[i] (0 if none).
+def _mask_bits(chunk: int) -> int:
+    """Bits of the kept reservoirs' endpoint table: 2^bits >= 32 * chunk, so
+    a chunk's at most 2 * chunk vertex ids fill at most 1/16 of it."""
+    return (32 * chunk - 1).bit_length()
 
-    Incidence rows are sorted by (vertex, position), and each row holds the
-    maximum over its vertex's rows from there on: a reverse running maximum
-    of weight ranks, each vertex's run lifted above every later run by an
-    integer offset so that no run leaks into the one before it. A query
-    lands on the first row of its vertex past `after`; after = -1 lands on
-    the run's first row, the whole-chunk maximum.
+
+def _chunk_index(eu, ev, ew):
+    """One sort of a chunk's 2c incidences, and the maxima flush reads off it.
+
+    Incidence slot 2i + p is endpoint p of edge i. Returns, per slot, its
+    vertex and `after`, the maximum weight at that vertex strictly after
+    position i (0 if none), and the chunk's distinct vertices, ascending,
+    with each one's maximum over the whole chunk. A stable sort by vertex
+    keeps each vertex's rows in position order; with no self-loop a vertex
+    has one row per position, so the rows after slot 2i + p in its run are
+    exactly the edges after i. Each row holds the maximum over its run from
+    there on: a reverse running maximum of weight ranks, each run lifted
+    above every later run by an integer offset so that no run leaks into
+    the one before it.
     """
-    c = len(ew)
     verts = np.stack([eu, ev], axis=1).ravel()
-    key = verts * np.int64(c + 1) + np.repeat(np.arange(c), 2)
-    order = np.argsort(key)
-    key, sv = key[order], verts[order]
+    order = np.argsort(verts, kind="stable")
+    sv = verts[order]
+    first = np.concatenate([[True], sv[1:] != sv[:-1]])
+    run = np.cumsum(first) - 1
     levels, rank = np.unique(ew, return_inverse=True)
-    run = np.cumsum(np.concatenate([[0], sv[1:] != sv[:-1]]))
     lift = (run[-1] - run) * len(levels)
-    running = np.maximum.accumulate((np.repeat(rank, 2)[order] + lift)[::-1])[::-1]
-    suffix_max = levels[running - lift]
-
-    j = np.searchsorted(key, vert * np.int64(c + 1) + after, side="right")
-    hit = j < len(sv)
-    j[~hit] = 0
-    hit &= sv[j] == vert
-    return np.where(hit, suffix_max[j], 0.0)
+    running = np.maximum.accumulate((np.repeat(rank, 2)[order] + lift)[::-1])[::-1] - lift
+    after_sorted = np.zeros(len(sv))
+    same = ~first[1:]
+    after_sorted[:-1][same] = levels[running[1:][same]]
+    after = np.empty(len(sv))
+    after[order] = after_sorted
+    return verts, after, sv[first], levels[running[first]]
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +413,3 @@ class QmcEstimateAlgorithm:
             m_exact=bank.m_exact,
             edges_seen=bank.edges_seen,
         )
-
-
-def estimate_qmc(stream: Iterable[WeightedEdge], epsilon: float, delta: float, seed: int = 0) -> QmcEstimate:
-    """Single-pass Quantum Max-Cut approximation from m and the W estimate."""
-    estimator = QmcEstimateAlgorithm(epsilon, delta, seed)
-    for e in stream:
-        estimator.update(e)
-    return estimator.report()

@@ -1,8 +1,10 @@
 """Shared builders for the test suite: random graphs, exhaustive enumeration,
 dense Hamiltonians built independently of the package's operators, and the
 tests-only reference checks (cut values, DFS level separation, the vector
-program objective, a constant streaming algorithm), and the bank's W
-estimate of a whole stream."""
+program objective, a constant streaming algorithm), the bank's W estimate
+and the estimator's report of a whole stream, and the bank's flush as it
+was before the per-chunk index, the reference its flush must match
+bitwise."""
 
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qmcstream.estimator import EstimatorBank
+from qmcstream.estimator import EstimatorBank, QmcEstimateAlgorithm
 from qmcstream.graph import WeightedEdge, WeightedGraph
 from qmcstream.rng import substream
 
@@ -222,3 +224,81 @@ def bank_w_hat(stream, epsilon, delta, seed=0):
     bank = EstimatorBank(epsilon, delta, seed)
     bank.process_stream(stream)
     return bank.w_estimate()
+
+
+def qmc_report(stream, epsilon, delta, seed=0):
+    """The QmcEstimate of a fresh QmcEstimateAlgorithm fed the whole stream."""
+    estimator = QmcEstimateAlgorithm(epsilon, delta, seed)
+    for e in stream:
+        estimator.update(e)
+    return estimator.report()
+
+
+class ReferenceFlushBank(EstimatorBank):
+    """An EstimatorBank whose flush queries every reservoir.
+
+    Each flush places all K*B draws with searchsorted, and looks up every
+    reservoir's endpoint in the chunk's (vertex, position) keys. It draws
+    what the bank's flush draws, in the same order, so two banks seeded
+    alike hold bitwise-equal state after every flush. Its keys are
+    vertex * (c + 1) + position in int64, so ids at or above 2^63 / (c + 1)
+    can wrap onto another vertex's keys; compare against it only on ids
+    where they cannot.
+    """
+
+    def flush(self) -> None:
+        c = self._fill
+        if c == 0:
+            return
+        eu, ev, ew = self._buf_u[:c], self._buf_v[:c], self._buf_w[:c]
+        self._fill = 0
+
+        chunk_cum = np.cumsum(ew)
+        w_end = self._weight_seen + chunk_cum[-1]
+        self._weight_seen = float(w_end)
+        # P(last replacement in chunk = i) = p_i * prod_{j>i} (1 - p_j), with
+        # p_j = w_j / W_j and W_j the total weight through edge j, telescopes
+        # to w_i / W_end: one weighted draw picks it, and cat == c (the prior
+        # weight's share) is "no replacement". With no prior weight the last
+        # bin edge is x / x = 1 exactly, so U < 1 always replaces.
+        cat = np.searchsorted(chunk_cum / w_end, self._rng.random(self.size), side="right")
+
+        # A replaced reservoir restarts from its new candidate at position
+        # cat; a kept one sees the whole chunk (position -1).
+        replaced = cat < c
+        ridx = cat[replaced]
+        pick_v = self._rng.integers(0, 2, size=len(ridx))
+        self._cand_v[replaced] = np.where(pick_v == 0, eu[ridx], ev[ridx])
+        self._cand_w[replaced] = ew[ridx]
+        self._best_after[replaced] = 0.0
+
+        ba = _incident_max_after(eu, ev, ew, self._cand_v, np.where(replaced, cat, -1))
+        np.maximum(self._best_after, ba, out=self._best_after)
+
+
+def _incident_max_after(eu, ev, ew, vert, after):
+    """Max chunk weight at vert[i] strictly after position after[i] (0 if none).
+
+    Incidence rows are sorted by (vertex, position), and each row holds the
+    maximum over its vertex's rows from there on: a reverse running maximum
+    of weight ranks, each vertex's run lifted above every later run by an
+    integer offset so that no run leaks into the one before it. A query
+    lands on the first row of its vertex past `after`; after = -1 lands on
+    the run's first row, the whole-chunk maximum.
+    """
+    c = len(ew)
+    verts = np.stack([eu, ev], axis=1).ravel()
+    key = verts * np.int64(c + 1) + np.repeat(np.arange(c), 2)
+    order = np.argsort(key)
+    key, sv = key[order], verts[order]
+    levels, rank = np.unique(ew, return_inverse=True)
+    run = np.cumsum(np.concatenate([[0], sv[1:] != sv[:-1]]))
+    lift = (run[-1] - run) * len(levels)
+    running = np.maximum.accumulate((np.repeat(rank, 2)[order] + lift)[::-1])[::-1]
+    suffix_max = levels[running - lift]
+
+    j = np.searchsorted(key, vert * np.int64(c + 1) + after, side="right")
+    hit = j < len(sv)
+    j[~hit] = 0
+    hit &= sv[j] == vert
+    return np.where(hit, suffix_max[j], 0.0)

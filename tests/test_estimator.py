@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import bank_w_hat, fresh_rng, random_stream
+from conftest import ReferenceFlushBank, bank_w_hat, fresh_rng, qmc_report, random_stream
 from qmcstream import estimator as est
 from qmcstream.graph import WeightedEdge, WeightedGraph, max_incident_sum, total_weight
 
@@ -332,6 +332,93 @@ class TestFlushExact:
         check_exact_state(edges, n, est.DEFAULT_CHUNK, seed=5)
 
 
+def check_against_reference(u, v, halves, seed):
+    """Feed a bank and a ReferenceFlushBank, seeded alike, the columns one
+    chunk at a time (weights halves / 2), and require bitwise-equal state
+    after every flush. Returns how many reservoirs that kept their candidate
+    had a nonzero best_after raised by a later chunk."""
+    bank = est.EstimatorBank(0.5, 0.3, seed=seed)
+    ref = ReferenceFlushBank(0.5, 0.3, seed=seed)
+    c, raised = bank.chunk_size, 0
+    for start in range(0, len(u), c):
+        part = slice(start, start + c)
+        cand, prior = (bank._cand_v.copy(), bank._cand_w.copy()), bank._best_after.copy()
+        for b in (bank, ref):
+            b.process_block(u[part], v[part], halves[part] / 2.0, Fraction(int(halves[part].sum()), 2), False)
+            b.flush()
+        for name in ("_cand_v", "_cand_w", "_best_after"):
+            assert np.array_equal(getattr(bank, name), getattr(ref, name)), (name, start)
+        kept = (bank._cand_v == cand[0]) & (bank._cand_w == cand[1])
+        raised += int(np.count_nonzero(kept & (prior > 0) & (bank._best_after > prior)))
+    return raised
+
+
+class TestFlushAgainstReference:
+    """The flush leaves bitwise the state of the flush that queries every reservoir."""
+
+    @pytest.mark.parametrize("chunk", [7, 64, est.DEFAULT_CHUNK])
+    def test_state_after_every_flush(self, chunk, monkeypatch):
+        # Three full chunks and a partial one over about 2c vertices, so a
+        # chunk holds some kept reservoirs' endpoints and misses others, and
+        # weights from {1/2, 1, 3/2}, so incident edges often tie.
+        monkeypatch.setattr(est, "DEFAULT_CHUNK", chunk)
+        rng = fresh_rng(175, chunk)
+        count, n = 3 * chunk + chunk // 3 + 1, 2 * chunk + 3
+        u = rng.integers(0, n, size=count)
+        v = (u + rng.integers(1, n, size=count)) % n
+        raised = check_against_reference(u, v, rng.integers(1, 4, size=count), seed=chunk)
+        assert raised > 0
+
+    def test_mask_aliases_and_large_ids(self):
+        # Each chunk's edges join one family of ids: family j < 4 is the
+        # base set plus j * 2^k, with 2^k the endpoint table's size at the
+        # shipped C, and family 4 counts down from 2^63 - 1, which aliases
+        # the base set's top. Weights rise chunk by chunk, so a kept
+        # reservoir credited with an aliased vertex's maximum shows.
+        c = est.DEFAULT_CHUNK
+        size = 1 << est._mask_bits(c)
+        base = np.concatenate([np.arange(24), size - 1 - np.arange(24)])
+        families = [base + j * size for j in range(4)] + [np.iinfo(np.int64).max - np.arange(48)]
+        rng = fresh_rng(176)
+        us, vs, halves = [], [], []
+        for t in range(6):
+            ids = families[t % len(families)]
+            count = c if t < 5 else c // 2 + 5
+            a = rng.integers(0, len(ids), size=count)
+            b = (a + rng.integers(1, len(ids), size=count)) % len(ids)
+            us.append(ids[a])
+            vs.append(ids[b])
+            halves.append(2 * t + rng.integers(1, 4, size=count))
+        raised = check_against_reference(*map(np.concatenate, (us, vs, halves)), seed=3)
+        assert raised > 0
+
+    def test_state_does_not_depend_on_vertex_ids(self):
+        # The draws depend on the weights alone, so renaming the vertices
+        # renames the candidates and changes nothing else. The new names
+        # pair v with v + step, whose keys vertex * (c + 1) differ by 1
+        # modulo 2^64 at the shipped C: the reference's keys interleave.
+        c = est.DEFAULT_CHUNK
+        inverse = pow(c + 1, -1, 2**64)
+        step = min(inverse, 2**64 - inverse)
+        n = 40
+        names = np.arange(n) % (n // 2) + (np.arange(n) >= n // 2) * step
+        assert names.max() < 2**63 - 1
+        rng = fresh_rng(177)
+        count = 2 * c + 100
+        u = rng.integers(0, n, size=count)
+        v = (u + rng.integers(1, n, size=count)) % n
+        w = rng.integers(1, 4, size=count).astype(float)
+        dense = est.EstimatorBank(0.5, 0.3, seed=2)
+        named = est.EstimatorBank(0.5, 0.3, seed=2)
+        dense.process_block(u, v, w, int(w.sum()), False)
+        named.process_block(names[u], names[v], w, int(w.sum()), False)
+        dense.flush()
+        named.flush()
+        assert np.array_equal(named._cand_v, names[dense._cand_v])
+        assert np.array_equal(named._cand_w, dense._cand_w)
+        assert np.array_equal(named._best_after, dense._best_after)
+
+
 class TestBoundedness:
     def test_every_sample_value_in_unit_interval(self, monkeypatch):
         monkeypatch.setattr(est, "DEFAULT_CHUNK", 5)
@@ -393,17 +480,17 @@ class TestEstimateW:
 
 class TestEstimateQmc:
     def test_single_unit_edge_value(self):
-        q = est.estimate_qmc(stream(2, (0, 1, 1)).edges, 0.1, 0.1, seed=7)
+        q = qmc_report(stream(2, (0, 1, 1)).edges, 0.1, 0.1, seed=7)
         assert q.value == pytest.approx(1.00625, abs=1e-12)
         assert q.mode == "unweighted"
         assert q.guaranteed_ratio == pytest.approx(2.1)
 
     def test_empty_stream(self):
-        q = est.estimate_qmc((), 0.2, 0.1)
+        q = qmc_report((), 0.2, 0.1)
         assert q.value == 0.0
 
     def test_weighted_mode_detection(self):
-        q = est.estimate_qmc(stream(2, (0, 1, 2)).edges, 0.2, 0.1)
+        q = qmc_report(stream(2, (0, 1, 2)).edges, 0.2, 0.1)
         assert q.mode == "weighted"
         assert q.guaranteed_ratio == pytest.approx(2.7)
 
@@ -411,16 +498,16 @@ class TestEstimateQmc:
         for i in range(15):
             rng = fresh_rng(69, i)
             s = random_stream(rng, 8, 12, weights=(1, 2, 3))
-            q = est.estimate_qmc(s.edges, 0.3, 0.2, seed=i)
+            q = qmc_report(s.edges, 0.3, 0.2, seed=i)
             m = q.m
             assert m / 2 - 1e-12 <= q.value <= m + 0.3 * m / 4 + 1e-12
 
     def test_deterministic_under_seed(self):
         s = stream(6, (0, 1, 1), (2, 3, 1), (1, 2, 1), (4, 5, 1))
-        a = est.estimate_qmc(s.edges, 0.25, 0.1, seed=123)
-        b = est.estimate_qmc(s.edges, 0.25, 0.1, seed=123)
+        a = qmc_report(s.edges, 0.25, 0.1, seed=123)
+        b = qmc_report(s.edges, 0.25, 0.1, seed=123)
         assert a == b
-        c = est.estimate_qmc(s.edges, 0.25, 0.1, seed=124)
+        c = qmc_report(s.edges, 0.25, 0.1, seed=124)
         assert a.m == c.m  # same exact counting regardless of seed
 
 

@@ -23,7 +23,6 @@ WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 ALLOWED = {
     "finalize_sample": "scores a ReservoirState, the per-edge reference the bank must match in law",
     "expectation_oracle": "exact E[X] by enumeration, the reference for the bank's sample mean",
-    "estimate_qmc": "the one-call library form of QmcEstimateAlgorithm",
     "parse_instance": "reads the documented dihp-gen output format",
 }
 
