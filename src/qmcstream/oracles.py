@@ -4,22 +4,22 @@ Brute-force Max-Cut and matrix-free Lanczos diagonalization both work per
 connected component (both quantities are additive over components). Max-Cut
 enumerates only each component's 2-core, so its size limit is on the largest
 2-core; Lanczos's is on the largest component.
-Lanczos runs once per component, started in the half-filling sector where
-the top eigenvalue lives, and its value is certified by the true residual or
-the call fails. Closed-form bounds and the constructive assignments are
-exact rationals.
+Lanczos runs once per component, in the half-filling spin sector where the
+top eigenvalue lives (the operator acts on that sector only), and its value
+is certified by the true residual or the call fails. Closed-form bounds and
+the constructive assignments are exact rationals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 from typing import Optional
 
 import numpy as np
 
-from .fourier import popcounts
 from .graph import (
     InfeasibleSizeError,
     WeightedGraph,
@@ -126,12 +126,16 @@ def max_cut_bruteforce(g: WeightedGraph) -> CutAssignment:
 
 
 class QmcOperator:
-    """Matrix-free action of sum_e w_e (I - XX - YY - ZZ)/4 on edge qubits.
+    """Matrix-free action of sum_e w_e (I - XX - YY - ZZ)/4 on edge qubits,
+    restricted to the states with floor(q/2) ones.
 
     Qubits are the non-isolated vertices of the graph in ascending order;
-    qubit i is bit i of a basis index. For each edge and each basis state
-    whose endpoint bits differ, the image gains w/2 times (amplitude minus
-    the amplitude of the state with those bits swapped).
+    qubit i is bit i of a state. `states` is the ascending int64 array of
+    the sector's states and `dim` its length, C(q, floor(q/2)); entry k of a
+    vector is the amplitude of states[k]. For each edge and each sector
+    state whose endpoint bits differ, the image gains w/2 times (amplitude
+    minus the amplitude of the state with those bits swapped), which is in
+    the sector too, so the sector is closed under the operator.
     """
 
     def __init__(self, g: WeightedGraph):
@@ -142,14 +146,15 @@ class QmcOperator:
                 f"{self.qubits} qubits exceed the exact-diagonalization cap "
                 f"{QMC_COMPONENT_CAP}"
             )
-        self.dim = 1 << self.qubits
+        bits = [1 << i for i in range(self.qubits)]
+        states = np.sort(np.array([sum(c) for c in combinations(bits, self.qubits // 2)], dtype=np.int64))
+        self.states, self.dim = states, len(states)
         qubit_of = {u: i for i, u in enumerate(self.vertices)}
-        idx = np.arange(self.dim)
         self._terms = []
         for e in g.edges:
             pu, pv = qubit_of[e.u], qubit_of[e.v]
-            differ = np.nonzero(((idx >> pu) ^ (idx >> pv)) & 1)[0]
-            swapped = differ ^ ((1 << pu) | (1 << pv))
+            differ = np.nonzero(((states >> pu) ^ (states >> pv)) & 1)[0]
+            swapped = np.searchsorted(states, states[differ] ^ ((1 << pu) | (1 << pv)))
             self._terms.append((float(e.w), differ, swapped))
         self.total_weight = float(sum(w for w, _, _ in self._terms))
 
@@ -195,30 +200,26 @@ def _lanczos_top(op: QmcOperator, v0: np.ndarray, target: float):
 @dataclass(frozen=True)
 class QmcResult:
     value: float
-    witness: Optional[np.ndarray]
     residual: float
 
 
 def qmc_exact(g: WeightedGraph, seed: int = 0) -> QmcResult:
-    """Maximum eigenvalue of the QMC operator, with witness when it fits.
+    """Maximum eigenvalue of the QMC operator, certified per component.
 
-    Each connected component gets one fully reorthogonalized Lanczos run,
-    started in the sector of states with floor(q/2) ones: the operator
-    commutes with total spin, so every multiplet has a member there, and it
-    only swaps two differing bits, so the Krylov space stays there. A
-    component's value is certified by ||Qv - lambda v|| <= QMC_RESIDUAL_TOL *
-    max(m, 1), m its total weight, or QmcConvergenceError is raised. The
-    witness is the product state over components, assembled only when the
-    combined qubit count is at most 14.
+    Each connected component gets one fully reorthogonalized Lanczos run on
+    the operator's sector of states with floor(q/2) ones: the operator
+    commutes with total spin, so every multiplet has a member there and the
+    top eigenvalue is the sector's. A component's value is certified by
+    ||Qv - lambda v|| <= QMC_RESIDUAL_TOL * max(m, 1), m its total weight,
+    or QmcConvergenceError is raised. The value is the sum over components
+    and the residual the largest.
     """
     total = 0.0
     worst_residual = 0.0
-    comp_states: list[tuple[list[int], np.ndarray]] = []
     for ci, comp in enumerate(g.components()):
         op = QmcOperator(g.induced_subgraph(comp))
         target = QMC_RESIDUAL_TOL * max(op.total_weight, 1.0)
         start = substream(seed, 0x71C, ci).normal(size=op.dim)
-        start[popcounts(op.qubits) != op.qubits // 2] = 0.0
         lam, vec = _lanczos_top(op, start, target)
         res = float(np.linalg.norm(op.apply(vec) - lam * vec))
         if res > target:
@@ -228,28 +229,7 @@ def qmc_exact(g: WeightedGraph, seed: int = 0) -> QmcResult:
             )
         total += lam
         worst_residual = max(worst_residual, res)
-        comp_states.append((comp, vec))
-
-    all_qubits = sorted(u for comp, _ in comp_states for u in comp)
-    witness = None
-    if all_qubits and len(all_qubits) <= QMC_COMPONENT_CAP:
-        witness = _assemble_product_state(all_qubits, comp_states)
-    elif not all_qubits:
-        witness = np.ones(1)
-    return QmcResult(total, witness, worst_residual)
-
-
-def _assemble_product_state(all_qubits, comp_states) -> np.ndarray:
-    pos = {u: i for i, u in enumerate(all_qubits)}
-    dim = 1 << len(all_qubits)
-    idx = np.arange(dim)
-    out = np.ones(dim)
-    for comp, vec in comp_states:
-        local = np.zeros(dim, dtype=np.int64)
-        for i, u in enumerate(comp):
-            local |= ((idx >> pos[u]) & 1) << i
-        out = out * vec[local]
-    return out
+    return QmcResult(total, worst_residual)
 
 
 # ---------------------------------------------------------------------------

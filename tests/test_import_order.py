@@ -6,8 +6,10 @@ the Fourier toolbox. Its order is pinned too: the stream-weighted benchmark
 moves by about 10% with module load order alone, so a change to the order
 should be deliberate: update ORDER here and say why in the change's record.
 `qmcstream relax` loads the relaxation alone, without the oracles or the
-Fourier toolbox, and `qmcstream wexact` loads the graph module alone: the
-edge-list reader lives there and does not load the estimator.
+Fourier toolbox, `qmcstream exact` loads the oracles without the Fourier
+toolbox or its linear algebra (the QMC operator knows its own spin sector),
+and `qmcstream wexact` loads the graph module alone: the edge-list reader
+lives there and does not load the estimator.
 
 ``sys.modules`` lists a module when it has finished loading, so the package
 comes first, and ``qmcstream.cli`` comes before the estimator that
@@ -34,6 +36,8 @@ NOT_LOADED = ["oracles", "fourier", "linalg", "relaxation", "dihp", "fourier_sui
 RELAX_LOADS = {"qmcstream", "qmcstream.graph", "qmcstream.cli", "qmcstream.rng", "qmcstream.relaxation"}
 
 RELAX_NOT_LOADED = ["oracles", "fourier", "linalg", "dihp", "estimator"]
+
+EXACT_LOADS = {"qmcstream", "qmcstream.graph", "qmcstream.cli", "qmcstream.rng", "qmcstream.oracles"}
 
 WEXACT_LOADS = {"qmcstream", "qmcstream.graph", "qmcstream.cli"}
 
@@ -77,3 +81,7 @@ def test_relax_loads_the_relaxation_alone():
 
 def test_wexact_loads_the_graph_module_alone():
     assert set(loaded_modules("wexact", "n 3\n0 1\n1 2\n0 2 3/2\n# per line\n")) == WEXACT_LOADS
+
+
+def test_exact_loads_the_oracles_alone():
+    assert set(loaded_modules("exact", "n 3\n0 1\n1 2\n0 2\n")) == EXACT_LOADS

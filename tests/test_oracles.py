@@ -191,17 +191,19 @@ class TestMaxCut:
 
 class TestQmcApply:
     def test_singlet_is_fixed(self):
-        edge = unit_graph(2, (0, 1))
-        singlet = np.zeros(4)
-        singlet[1], singlet[2] = 1 / np.sqrt(2), -1 / np.sqrt(2)
-        assert np.allclose(oc.QmcOperator(edge).apply(singlet), singlet)
+        op = oc.QmcOperator(unit_graph(2, (0, 1)))
+        assert op.states.tolist() == [1, 2]
+        singlet = np.array([1.0, -1.0]) / np.sqrt(2)
+        assert np.allclose(op.apply(singlet), singlet)
 
     def test_aligned_states_annihilated(self):
-        edge = unit_graph(2, (0, 1))
-        assert np.allclose(oc.QmcOperator(edge).apply(np.array([1.0, 0, 0, 0])), 0)
-        tri_all_zero = np.zeros(8)
-        tri_all_zero[0] = 1.0
-        assert np.allclose(oc.QmcOperator(TRIANGLE).apply(tri_all_zero), 0)
+        # |00> and |000> lie outside the sector; their multiplets' members
+        # in it, the triplet and the triangle's uniform spin-3/2 state, are.
+        op = oc.QmcOperator(unit_graph(2, (0, 1)))
+        assert np.allclose(op.apply(np.array([1.0, 1.0]) / np.sqrt(2)), 0)
+        op = oc.QmcOperator(TRIANGLE)
+        assert op.states.tolist() == [1, 2, 4]
+        assert np.allclose(op.apply(np.ones(3) / np.sqrt(3)), 0)
 
     def test_matches_dense_hamiltonian(self):
         for i in range(10):
@@ -210,10 +212,16 @@ class TestQmcApply:
             if not g.edges:
                 continue
             h = dense_qmc_hamiltonian(g)
-            dim = h.shape[0]
-            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            op = oc.QmcOperator(g)
+            psi = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
             psi /= np.linalg.norm(psi)
-            assert np.max(np.abs(oc.QmcOperator(g).apply(psi) - h @ psi)) < 1e-12
+            full = np.zeros(h.shape[0], dtype=complex)
+            full[op.states] = psi
+            image = h @ full
+            off_sector = np.ones(h.shape[0], dtype=bool)
+            off_sector[op.states] = False
+            assert np.max(np.abs(image[off_sector])) < 1e-12
+            assert np.max(np.abs(op.apply(psi) - image[op.states])) < 1e-12
 
 
 class TestQmcExact:
@@ -239,7 +247,7 @@ class TestQmcExact:
             lam = np.linalg.eigvalsh(dense_qmc_hamiltonian(g))[-1]
             assert oc.qmc_exact(g).value == pytest.approx(lam, abs=1e-8)
 
-    @pytest.mark.parametrize("n", [12, 13])
+    @pytest.mark.parametrize("n", [12, 13, 14])
     def test_agrees_with_eigsh(self, n):
         sparse = pytest.importorskip("scipy.sparse")
         eigsh = pytest.importorskip("scipy.sparse.linalg").eigsh
@@ -267,13 +275,6 @@ class TestQmcExact:
     def test_additive_over_components(self):
         g = unit_graph(5, (0, 1), (2, 3), (3, 4))
         assert oc.qmc_exact(g).value == pytest.approx(1.0 + 1.5, abs=1e-8)
-
-    def test_witness_achieves_value(self):
-        g = unit_graph(5, (0, 1), (2, 3), (3, 4))
-        res = oc.qmc_exact(g)
-        psi = res.witness
-        rayleigh = np.vdot(psi, oc.QmcOperator(g).apply(psi)) / np.vdot(psi, psi)
-        assert rayleigh == pytest.approx(res.value, abs=1e-8)
 
     def test_empty_graph(self):
         res = oc.qmc_exact(WeightedGraph(3, []))
