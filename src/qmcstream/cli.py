@@ -120,7 +120,6 @@ def cmd_exact(args, out: TextIO) -> int:
     from .oracles import (
         QMC_RESIDUAL_TOL,
         constructive_energies,
-        guaranteed_lower_bound,
         max_cut_bruteforce,
         qmc_bounds,
         qmc_exact,
@@ -163,7 +162,7 @@ def cmd_exact(args, out: TextIO) -> int:
             "forest_cut_value": float(ce.forest_cut_value),
             "dfs_level_value": None if ce.dfs_level_value is None else float(ce.dfs_level_value),
         }
-        report["lower_bound_floor"] = float(guaranteed_lower_bound(g))
+        report["lower_bound_floor"] = float(ce.floor)
     _emit(report, out)
     return 0
 

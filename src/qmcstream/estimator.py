@@ -9,7 +9,8 @@ taking the median over K groups gives the (epsilon, delta) guarantee.
 
 A stream is any iterable of WeightedEdge in arrival order, such as the
 ordered ``edges`` of a WeightedGraph, or a sequence of blocks of columns
-(endpoints and weights), as `qmcstream estimate` reads an edge list.
+(int64 endpoints and exact weights), as `qmcstream estimate` reads an edge
+list. Either way the bank rounds the weights to float64 and sums them into m.
 
 The bank vectorizes all K*B reservoirs and consumes the stream in chunks of
 C edges. process_edge and process_block fill the same preallocated
@@ -52,11 +53,12 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graph import WeightedEdge
+from .graph import InfeasibleSizeError, WeightedEdge
 from .rng import substream
 
 EXPECTATION_ORACLE_CAP = 16
 DEFAULT_CHUNK = 8192
+MAX_BANK_WORDS = 1 << 27  # largest bank allocated: 1 GiB of 8-byte words
 
 
 def amplification_plan(epsilon: float, delta: float) -> tuple[int, int]:
@@ -160,6 +162,9 @@ class EstimatorBank:
         self.delta = float(delta)
         self.groups, self.per_group = amplification_plan(epsilon, delta)
         size = self.groups * self.per_group
+        words = _words(size, DEFAULT_CHUNK)
+        if words > MAX_BANK_WORDS:
+            raise InfeasibleSizeError(f"{words} words of estimator state exceed the bank cap {MAX_BANK_WORDS}")
         self._rng = substream(seed, 0xE57)
         self._cand_v = np.zeros(size, dtype=np.int64)
         self._cand_w = np.zeros(size)
@@ -194,22 +199,23 @@ class EstimatorBank:
         if self._fill == self.chunk_size:
             self.flush()
 
-    def process_block(self, u: np.ndarray, v: np.ndarray, w: np.ndarray, m_add, unit: bool) -> None:
+    def process_block(self, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
         """Ingest edges given as columns, as process_edge would one by one.
 
-        u, v and w hold the endpoints and float weights in arrival order;
-        m_add is their exact total (an int for integer weights) and unit
-        says whether every weight is 1. The block fills the same buffer as
-        process_edge, so the chunk boundaries, and with them every draw,
-        depend only on the edge order, not on how it was split into blocks.
-        No edge may be a self-loop (the reader rejects them, as WeightedEdge
-        does): flush's index orders each vertex's incidences by position,
-        and a self-loop would give its vertex two at one position.
+        u and v hold int64 endpoints and w exact weights (an int64 column, or
+        ints and Fractions as objects) in arrival order, as read_edge_list
+        yields them; the bank rounds w to float64 and sums it into m. The
+        block fills the same buffer as process_edge, so the chunk boundaries,
+        and every draw, depend only on the edge order, not on how it was
+        split into blocks. No edge may be a self-loop (the reader rejects
+        them, as WeightedEdge does): flush's index orders each vertex's
+        incidences by position, and a self-loop would give it two at one.
         """
-        self.m_exact += m_add
+        self.m_exact += sum(w.tolist())
         self.edges_seen += len(w)
-        if not unit:
+        if not (w == 1).all():
             self.unit_weights = False
+        w = w.astype(float)
         start, c = 0, self.chunk_size
         while start < len(w):
             take = min(c - self._fill, len(w) - start)
@@ -310,7 +316,12 @@ class EstimatorBank:
         scratch, freed when the flush returns, not kept state. A pure
         query: it flushes nothing.
         """
-        return 3 * self.size + 8 + 3 * self.chunk_size
+        return _words(self.size, self.chunk_size)
+
+
+def _words(size: int, chunk: int) -> int:
+    """EstimatorBank.words_used of a bank of size reservoirs and a C = chunk buffer."""
+    return 3 * size + 8 + 3 * chunk
 
 
 def _mask_bits(chunk: int) -> int:

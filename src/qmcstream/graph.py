@@ -243,12 +243,8 @@ def _parsed_block(block: list[str], first: int, n: int) -> tuple:
 
 
 def iter_stream_edges(lines: Iterable[str]) -> Iterator[tuple]:
-    """The edge blocks as ``EstimatorBank.process_block`` takes them:
-    ``(u, v, w, m_add, unit)``, with the weights rounded to float64 here
-    alone, their exact total (an int while every weight is an integer) and
-    whether every weight is 1."""
-    for u, v, w in read_edge_list(lines)[1]:
-        yield u, v, w.astype(float), sum(w.tolist()), bool((w == 1).all())
+    """read_edge_list's edge blocks alone, for `qmcstream estimate`."""
+    yield from read_edge_list(lines)[1]
 
 
 def content_lines(lines: Iterable[str], start: int = 1) -> Iterator[tuple[int, list[str]]]:

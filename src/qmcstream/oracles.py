@@ -262,12 +262,14 @@ class ConstructiveEnergies:
     weight on every other edge. forest_cut_value: half of a perfect classical
     cut of the matching-plus-forest. dfs_level_value: optimal stars on the
     DFS levels of one depth parity per component, the parity whose stars
-    are worth more, plus a quarter elsewhere (unit weights only).
+    are worth more, plus a quarter elsewhere (unit weights only). floor:
+    the best certified lower bound, the largest of these and m/4.
     """
 
     matching_value: Fraction
     forest_cut_value: Fraction
     dfs_level_value: Optional[Fraction]
+    floor: Fraction
 
 
 def constructive_energies(g: WeightedGraph) -> ConstructiveEnergies:
@@ -276,7 +278,8 @@ def constructive_energies(g: WeightedGraph) -> ConstructiveEnergies:
     matching_value = hed.matching_weight + (m - hed.matching_weight) / 4
     forest_cut_value = (hed.matching_weight + hed.forest_weight) / 2
     dfs_value = _dfs_level_value(g, m) if g.is_unit_weighted() else None
-    return ConstructiveEnergies(matching_value, forest_cut_value, dfs_value)
+    floor = max(matching_value, forest_cut_value, m / 4, dfs_value or 0)
+    return ConstructiveEnergies(matching_value, forest_cut_value, dfs_value, floor)
 
 
 def _dfs_level_value(g: WeightedGraph, m: Fraction) -> Fraction:
@@ -292,12 +295,3 @@ def _dfs_level_value(g: WeightedGraph, m: Fraction) -> Fraction:
     best = sum(max(gain[ci, 0], gain.get((ci, 1), 0)) for ci in range(len(dec.roots)))
     return (m + best) / 4
 
-
-def guaranteed_lower_bound(g: WeightedGraph) -> Fraction:
-    """Best certified lower bound: constructions, clamped at the m/4 floor."""
-    m = total_weight(g)
-    ce = constructive_energies(g)
-    candidates = [ce.matching_value, ce.forest_cut_value, m / 4]
-    if ce.dfs_level_value is not None:
-        candidates.append(ce.dfs_level_value)
-    return max(candidates)

@@ -8,7 +8,7 @@ import pytest
 
 from qmcstream import graph, oracles
 from qmcstream.cli import main
-from qmcstream.estimator import DEFAULT_CHUNK
+from qmcstream.estimator import DEFAULT_CHUNK, QmcEstimateAlgorithm, amplification_plan
 from qmcstream.graph import (
     READ_BLOCK,
     GraphParseError,
@@ -157,7 +157,7 @@ def per_line_edges(text):
 
 def per_line_blocks(text, chunk):
     """The blocks of text as per_line_edges reads it, cut every `chunk`
-    lines after the header on line 1."""
+    lines after the header on line 1, with integer weights as ints."""
     blocks = [[] for _ in range(0, len(io.StringIO(text).readlines()) - 1, chunk)]
     for lineno, edge in per_line_edges(text):
         blocks[(lineno - 2) // chunk].append(edge)
@@ -165,9 +165,7 @@ def per_line_blocks(text, chunk):
         (
             np.array([e.u for e in b], dtype=np.int64),
             np.array([e.v for e in b], dtype=np.int64),
-            np.array([float(e.w) for e in b]),
-            sum(e.w.numerator if e.w.denominator == 1 else e.w for e in b),
-            all(e.w == 1 for e in b),
+            np.array([e.w.numerator if e.w.denominator == 1 else e.w for e in b], dtype=object),
         )
         for b in blocks
     ]
@@ -230,10 +228,10 @@ class TestBlockReader:
             return
         assert len(got) == len(want)
         for g, w in zip(got, want):
-            for a, b in zip(g[:3], w[:3]):
+            for a, b in zip(g[:2], w[:2]):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-            assert type(g[3]) is type(w[3]) and g[3] == w[3]
-            assert g[4] == w[4]
+            assert g[2].tolist() == w[2].tolist()
+            assert list(map(type, g[2].tolist())) == list(map(type, w[2].tolist()))
 
     @pytest.mark.parametrize("body", [body for body, _ in BLOCK_CASES])
     def test_offline_edges_match_the_per_line_parser(self, body):
@@ -265,6 +263,26 @@ class TestBlockReader:
         assert outputs[0] == outputs[1]
         report = json.loads(outputs[0])
         assert report["edges_seen"] == 3000 and report["m_exact"] == str(int(w.sum()))
+
+    def test_mixed_weights_give_the_per_edge_report(self, monkeypatch, capsys):
+        # An integer block, then integer, p/q and decimal weights within
+        # blocks: the bank derives m, the mode and the float weights from
+        # the reader's exact columns as process_edge does from each edge.
+        rng = np.random.default_rng(29)
+        count = 2 * READ_BLOCK + 300
+        u = rng.integers(0, 400, size=count)
+        v = (u + rng.integers(1, 400, size=count)) % 400
+        mixed = np.array(["3", "2/7", "0.25", "5"])[rng.integers(0, 4, size=count - READ_BLOCK)]
+        w = [*map(str, rng.integers(1, 6, size=READ_BLOCK)), *mixed]
+        text = "n 400\n" + "".join(f"{a} {b} {c}\n" for a, b, c in zip(u, v, w))
+        args = ["estimate", "--eps", "0.5", "--delta", "0.2", "--seed", "4"]
+        report = run_main(args, text, monkeypatch, capsys)
+        per_edge = QmcEstimateAlgorithm(0.5, 0.2, seed=4)
+        for _, e in per_line_edges(text):
+            per_edge.update(e)
+        q = per_edge.report()
+        assert (report["m_exact"], report["edges_seen"], report["mode"]) == (str(q.m_exact), count, "weighted")
+        assert (report["value"], report["W_hat"]) == (q.value, q.w_hat)
 
 
 class TestWexact:
@@ -371,6 +389,14 @@ class TestExitCodes:
         assert main(args) == 2
         cap = graph.MAX_VERTICES
         assert capsys.readouterr().err == f"error: 9223372036854775807 vertices exceed the graph cap {cap}\n"
+
+    def test_bank_past_the_bank_cap_is_two(self, monkeypatch, capsys):
+        # Refused before anything is allocated: its reservoirs would take about 72 TiB.
+        monkeypatch.setattr(sys, "stdin", io.StringIO("n 2\n0 1\n"))
+        assert main(["estimate", "--eps", "0.0001"]) == 2
+        k, b = amplification_plan(0.0001 / 4, 0.1)
+        words = 3 * k * b + 8 + 3 * DEFAULT_CHUNK
+        assert capsys.readouterr().err == f"error: {words} words of estimator state exceed the bank cap {1 << 27}\n"
 
     def test_largest_vertex_count_streams(self, monkeypatch, capsys):
         text = "n 9223372036854775807\n0 9223372036854775806\n"

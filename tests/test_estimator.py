@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 from fractions import Fraction
@@ -191,13 +192,11 @@ class TestBlocks:
 
     @staticmethod
     def columns(edges):
-        ws = [e.w for e in edges]
+        """The edges as the per-line reader's columns: integer weights as ints."""
         return (
             np.array([e.u for e in edges], dtype=np.int64),
             np.array([e.v for e in edges], dtype=np.int64),
-            np.array([float(w) for w in ws]),
-            sum(w.numerator if w.denominator == 1 else w for w in ws),
-            all(w == 1 for w in ws),
+            np.array([e.w.numerator if e.w.denominator == 1 else e.w for e in edges], dtype=object),
         )
 
     @pytest.mark.parametrize("weights", [(1,), (1, 2, 7), (1, Fraction(5, 2), Fraction(1, 3))])
@@ -244,7 +243,13 @@ class UniformRecorder:
         return u
 
     def __getattr__(self, name):
-        return getattr(self.rng, name)
+        # Not self.rng: a copy under construction has no rng yet.
+        return getattr(object.__getattribute__(self, "rng"), name)
+
+
+def test_uniform_recorder_survives_deepcopy():
+    rec = UniformRecorder(fresh_rng(178))
+    assert np.array_equal(copy.deepcopy(rec).integers(0, 9, size=4), rec.integers(0, 9, size=4))
 
 
 def replay_arrivals(edges, chunk, uniforms):
@@ -334,17 +339,18 @@ class TestFlushExact:
 
 def check_against_reference(u, v, halves, seed):
     """Feed a bank and a ReferenceFlushBank, seeded alike, the columns one
-    chunk at a time (weights halves / 2), and require bitwise-equal state
-    after every flush. Returns how many reservoirs that kept their candidate
-    had a nonzero best_after raised by a later chunk."""
+    chunk at a time (weights Fraction(halves, 2)), and require bitwise-equal
+    state after every flush. Returns how many reservoirs that kept their
+    candidate had a nonzero best_after raised by a later chunk."""
     bank = est.EstimatorBank(0.5, 0.3, seed=seed)
     ref = ReferenceFlushBank(0.5, 0.3, seed=seed)
     c, raised = bank.chunk_size, 0
     for start in range(0, len(u), c):
         part = slice(start, start + c)
         cand, prior = (bank._cand_v.copy(), bank._cand_w.copy()), bank._best_after.copy()
+        w = np.array([Fraction(h, 2) for h in halves[part].tolist()], dtype=object)
         for b in (bank, ref):
-            b.process_block(u[part], v[part], halves[part] / 2.0, Fraction(int(halves[part].sum()), 2), False)
+            b.process_block(u[part], v[part], w)
             b.flush()
         for name in ("_cand_v", "_cand_w", "_best_after"):
             assert np.array_equal(getattr(bank, name), getattr(ref, name)), (name, start)
@@ -407,11 +413,11 @@ class TestFlushAgainstReference:
         count = 2 * c + 100
         u = rng.integers(0, n, size=count)
         v = (u + rng.integers(1, n, size=count)) % n
-        w = rng.integers(1, 4, size=count).astype(float)
+        w = rng.integers(1, 4, size=count)
         dense = est.EstimatorBank(0.5, 0.3, seed=2)
         named = est.EstimatorBank(0.5, 0.3, seed=2)
-        dense.process_block(u, v, w, int(w.sum()), False)
-        named.process_block(names[u], names[v], w, int(w.sum()), False)
+        dense.process_block(u, v, w)
+        named.process_block(names[u], names[v], w)
         dense.flush()
         named.flush()
         assert np.array_equal(named._cand_v, names[dense._cand_v])
@@ -546,7 +552,7 @@ class TestSpaceDiscipline:
         bank = est.EstimatorBank(0.5, 0.5)
         assert type(bank.m_exact) is int
         bank.process_edge(E(0, 1, Fraction(3)))
-        bank.process_block(np.array([1]), np.array([2]), np.array([2.0]), 2, False)
+        bank.process_block(np.array([1]), np.array([2]), np.array([2]))
         assert type(bank.m_exact) is int and bank.m_exact == 5
         bank.process_edge(E(2, 3, Fraction(1, 2)))
         assert type(bank.m_exact) is Fraction and bank.m_exact == Fraction(11, 2)

@@ -401,13 +401,13 @@ class TestConstructiveEnergies:
             assert ce.dfs_level_value > m / 4 + w / 8 - Fraction(1, 10**7)
 
     def test_guaranteed_lower_bound_floor(self):
-        assert oc.guaranteed_lower_bound(TRIANGLE) >= Fraction(3, 4)
+        assert oc.constructive_energies(TRIANGLE).floor >= Fraction(3, 4)
         for i in range(20):
             rng = fresh_rng(48, i)
             g = random_graph(rng, 7, 0.5, weights=(1, 3))
             if not g.edges:
                 continue
-            assert oc.guaranteed_lower_bound(g) <= Fraction(
+            assert oc.constructive_energies(g).floor <= Fraction(
                 int(oc.qmc_exact(g).value * 10**9 + 1), 10**9
             ) + 1
 

@@ -5,9 +5,11 @@ public method of its classes and each annotated field of its dataclasses
 must be named somewhere in ``src/``, ``bench/`` or ``scripts/`` outside its
 own definition. A name counts when it appears as a variable, an attribute,
 or a word of a string literal other than a docstring (the benchmark tracer
-names what it wraps in strings). Names are matched by their last
-component, so a method or a field shares credit with any variable or
-attribute of that name.
+names what it wraps in strings). A field counts only where it is read: as an
+attribute, or as a whole string literal (a tracer or CSV column name that
+getattr reads). Names are matched by their last component, so a method
+shares credit with any variable or attribute of that name, and a field with
+any attribute of that name.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qmcstream"
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+ACYCLIC_UNION = "matching plus forest is acyclic, so forest_cut_value is achievable; tests/test_graph.py checks it"
+
 # Reached only by tests, on purpose; one reason each.
 ALLOWED = {
     "finalize_sample": "scores a ReservoirState, the per-edge reference the bank must match in law",
@@ -27,11 +31,14 @@ ALLOWED = {
     "parse_instance": "reads the documented dihp-gen output format",
     "BipartiteWitness.coloring": "a bipartite answer has no other certificate; tests verify it both ways",
     "BipartiteWitness.odd_cycle": "a non-bipartite answer has no other certificate; tests verify it both ways",
+    "HeaviestEdgeDecomposition.matching": ACYCLIC_UNION,
+    "HeaviestEdgeDecomposition.forest": ACYCLIC_UNION,
 }
 
 
-def _occurrences(path: Path) -> list[tuple[str, int]]:
-    """(name, line) for every identifier the module uses."""
+def _occurrences(path: Path) -> list[tuple[str, int, bool]]:
+    """(name, line, whether it reads a field) for every identifier the
+    module uses."""
     tree = ast.parse(path.read_text())
     docstrings = {
         id(node.value)
@@ -41,11 +48,11 @@ def _occurrences(path: Path) -> list[tuple[str, int]]:
     out = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.append((node.id, node.lineno))
+            out.append((node.id, node.lineno, False))
         elif isinstance(node, ast.Attribute):
-            out.append((node.attr, node.end_lineno))
+            out.append((node.attr, node.end_lineno, True))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
-            out.extend((word, node.lineno) for word in WORD.findall(node.value))
+            out.extend((word, node.lineno, word == node.value) for word in WORD.findall(node.value))
     return out
 
 
@@ -57,35 +64,37 @@ def _is_dataclass(decorator: ast.expr) -> bool:
 
 
 def _definitions(path: Path):
-    """(qualified name, first line, last line) of each checked definition."""
+    """(qualified name, first line, last line, whether it is a dataclass
+    field) of each checked definition."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, node.end_lineno
+            yield node.name, node.lineno, node.end_lineno, False
             if isinstance(node, ast.ClassDef):
                 fields = any(_is_dataclass(d) for d in node.decorator_list)
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{node.name}.{item.name}", item.lineno, item.end_lineno
+                        yield f"{node.name}.{item.name}", item.lineno, item.end_lineno, False
                     elif fields and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
-                        yield f"{node.name}.{item.target.id}", item.lineno, item.end_lineno
+                        yield f"{node.name}.{item.target.id}", item.lineno, item.end_lineno, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 if isinstance(target, ast.Name):
-                    yield target.id, node.lineno, node.end_lineno
+                    yield target.id, node.lineno, node.end_lineno, False
 
 
 def unreached_names() -> list[str]:
-    uses: dict[str, list[tuple[Path, int]]] = {}
+    uses: dict[str, list[tuple[Path, int, bool]]] = {}
     for folder in ("src", "bench", "scripts"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for word, line in _occurrences(path):
-                uses.setdefault(word, []).append((path, line))
+            for word, line, reads in _occurrences(path):
+                uses.setdefault(word, []).append((path, line, reads))
     out = []
     for module in sorted(PACKAGE.glob("*.py")):
-        for qualname, first, last in _definitions(module):
+        for qualname, first, last, field in _definitions(module):
             name = qualname.rsplit(".", 1)[-1]
-            if all(path == module and first <= line <= last for path, line in uses.get(name, [])):
+            credit = [(path, line) for path, line, reads in uses.get(name, []) if reads or not field]
+            if all(path == module and first <= line <= last for path, line in credit):
                 out.append(f"{module.stem}.{qualname}")
     return out
 
